@@ -4,7 +4,8 @@ Stacking a narrow uniform bump on top of a wide one makes the density drop
 abruptly, so the raw virtual value is non-monotone; the optimal menu irons
 it flat across the trough, pooling a range of types onto a single quality.
 This script shows the raw vs ironed virtual value, the resulting menu, and
-cross-checks profit against the brute-force discrete-type oracle.
+cross-checks profit against the discrete-type oracle, an exact dynamic
+program over the quality grid.
 """
 
 import numpy as np
@@ -32,12 +33,13 @@ print()
 print(f"Bayes-optimal menu: Pi/S = {rep.pi_ratio:.4f}, U/S = {rep.u_ratio:.4f}")
 print(f"guarantee-menu benchmark:  Pi/S = {mg.guarantee_ratio(2.0):.4f}")
 
-# Cross-check against exhaustive search on a matched discretization.
+# Cross-check against the exact dynamic program over the quality grid on a
+# matched discretization.
 values, masses = mg.discretize(F, 10)
 inst = mg.DiscreteScreeningInstance(
     values=tuple(values), masses=tuple(masses), cost=cost,
     quality_grid=tuple(np.linspace(0.0, 1.2 * max(values) / 2.0, 15)))
 oracle = mg.discrete_oracle(inst)
 print()
-print(f"10-type brute-force oracle profit: {oracle.profit:.6f}")
+print(f"10-type grid oracle profit:        {oracle.profit:.6f}")
 print(f"continuous-menu profit:            {rep.Pi:.6f}")

@@ -1,39 +1,15 @@
 """Robust nonlinear pricing: distribution-free profit guarantees,
 Bayes-optimal screening menus, surplus functionals, and frontier /
-boundary certificates."""
+boundary certificates.
+
+The package root re-exports every name in each submodule's ``__all__``."""
 
 __version__ = "0.1.0"
 
-from .distributions import (Binary, Discrete, Mixture, Pareto, PointMass,
-                            Power, TruncatedPareto, Uniform,
-                            ValueDistribution, distribution_from_spec,
-                            minimax_distribution, tail_condition)
-from .technology import (GeneralConvexCost, IsoElasticCost,
-                         NonlinearDemandModel, PolynomialCost,
-                         SeparableQuantityUtility, cost_from_spec,
-                         demand, demand_elasticity, efficient_quality,
-                         pointwise_elasticity, quantity_model_from_spec)
-from .mechanisms import (DirectMechanism, IndirectTariff, MarkupMechanism,
-                         UniformPriceMechanism, constant_markup_mechanism,
-                         envelope_transfer, guarantee_mechanism, ic_audit,
-                         marginal_price, uniform_price_mechanism)
-from .screening import (DiscreteScreeningInstance, VirtualValueCurve,
-                        bayes_markup_curve, bayes_optimal_mechanism,
-                        discrete_oracle, discrete_virtual_values,
-                        discretize, iron, virtual_value)
-from .functionals import (InfiniteSurplusError, SurplusReport,
-                          consumer_surplus, efficient_surplus, expectation,
-                          full_report, mechanism_profit,
-                          quantity_surplus_report, survival_integral)
-from .guarantees import (FrontierPoint, GuaranteeCertificate, consumer_share,
-                         convex_cost_guarantee, eta2_boundary,
-                         eta2_membership, feasible_beta_interval, frontier,
-                         frontier_attaining_shape, guarantee_ratio,
-                         holder_audit, pareto_bayes_outcome,
-                         pareto_profit_ratio, procurement_quality,
-                         procurement_quantity, quantity_guarantee,
-                         surplus_lower_bound, verify_convex_cost_guarantee,
-                         verify_lower_bound, verify_procurement_quality,
-                         verify_procurement_quantity,
-                         verify_quantity_guarantee)
-from .quadrature import QuadratureError, adaptive_quad, quad_to_inf
+from .distributions import *  # noqa: F401,F403
+from .technology import *  # noqa: F401,F403
+from .mechanisms import *  # noqa: F401,F403
+from .screening import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .guarantees import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -105,23 +104,6 @@ def _out_path(out_dir, name):
     return name
 
 
-def _n_workers():
-    raw = os.environ.get("MARKUP_GUARANTEE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(8, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    """Map over items with a worker pool, results in input order."""
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # SVG writer (self-contained, deterministic)
 # ---------------------------------------------------------------------------
@@ -210,7 +192,7 @@ def cmd_guarantee(args):
     pi_target = guarantee_ratio(eta)
     u_target = consumer_share(eta)
 
-    reports = _map_ordered(lambda F: full_report(F, M, cost), battery)
+    reports = [full_report(F, M, cost) for F in battery]
     rows = []
     all_pass = True
     for F, rep in zip(battery, reports):
@@ -345,7 +327,7 @@ def cmd_verify(args):
     elif scenario == "holder":
         eta = float(cfg.get("eta", args.eta or 0.0))
         battery = _battery_from_config(cfg, eta)
-        certs = _map_ordered(lambda F: holder_audit(F, eta, tol=tol), battery)
+        certs = [holder_audit(F, eta, tol=tol) for F in battery]
     elif scenario == "convex_cost":
         if "cost" not in cfg:
             raise ConfigError("'convex_cost' scenario requires a 'cost' spec")
@@ -478,7 +460,7 @@ def cmd_sweep(args):
             M = bayes_optimal_mechanism(F, cost, n_grid=args.grid)
         return full_report(F, M, cost)
 
-    reports = _map_ordered(run, battery)
+    reports = [run(F) for F in battery]
     from .functionals import SurplusReport
     header = ["distribution", *SurplusReport.csv_header]
     rows = [[json.dumps(F.to_spec(), sort_keys=True), *rep.csv_row()]

@@ -8,10 +8,8 @@ smeared into a narrow density.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "Discrete",
     "PointMass",
     "Mixture",
-    "density_or_mass",
     "tail_condition",
     "minimax_distribution",
     "distribution_from_spec",
@@ -468,15 +465,12 @@ class Mixture(ValueDistribution):
         return tuple(sorted(merged.items()))
 
     def density_segments(self):
-        # merge overlapping component segments
-        segs = sorted(seg for c in self.components for seg in c.density_segments())
-        merged = []
-        for a, b in segs:
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return tuple((a, b) for a, b in merged)
+        # split at every component end: the density jumps there, so no
+        # segment may span one; keep the pieces some component covers
+        segs = [seg for c in self.components for seg in c.density_segments()]
+        ends = sorted({e for seg in segs for e in seg})
+        return tuple((a, b) for a, b in zip(ends, ends[1:])
+                     if any(lo <= a and b <= hi for lo, hi in segs))
 
     def quantile(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -506,11 +500,6 @@ class Mixture(ValueDistribution):
         return {"kind": "mixture",
                 "components": [c.to_spec() for c in self.components],
                 "weights": list(self.weights)}
-
-
-def density_or_mass(d: ValueDistribution, v):
-    """Density at v plus the full atom list, kept separate for integrators."""
-    return float(np.asarray(d.pdf(v))), d.atoms()
 
 
 def tail_condition(d: ValueDistribution, eta: float) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

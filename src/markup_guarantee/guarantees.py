@@ -36,7 +36,6 @@ __all__ = [
     "verify_lower_bound",
     "eta2_boundary",
     "eta2_membership",
-    "eta2_interior_witness",
     "holder_audit",
     "convex_cost_guarantee",
     "verify_convex_cost_guarantee",
@@ -210,44 +209,6 @@ def eta2_membership(x: float, y: float, tol: float = 1e-9) -> str:
     return "interior"
 
 
-def eta2_interior_witness(x: float, y: float, alpha_range=(1.001, 200.0),
-                          k_range=(1.5, 1e6), n_grid: int = 60):
-    """Best-effort (alpha, k) search for a truncated Pareto generating (x, y).
-
-    Heuristic 2-d grid search refined once; returns (alpha, k, achieved_x,
-    achieved_y).
-    """
-    target = np.array([x, y])
-
-    def outcome(alpha, k):
-        F = TruncatedPareto(alpha=alpha, k=k)
-        cost = IsoElasticCost(eta=2.0)
-        M = bayes_optimal_mechanism(F, cost, n_grid=2000)
-        rep = full_report(F, M, cost)
-        return np.array([rep.u_ratio, rep.pi_ratio])
-
-    best = None
-    alphas = np.geomspace(alpha_range[0], alpha_range[1], n_grid)
-    ks = np.geomspace(k_range[0], k_range[1], n_grid)
-    # coarse pass on closed-form style proxies is not available: sample a
-    # thinned grid, then refine around the winner
-    for a in alphas[::6]:
-        for k in ks[::6]:
-            got = outcome(a, k)
-            d = float(np.linalg.norm(got - target))
-            if best is None or d < best[0]:
-                best = (d, a, k, got)
-    d0, a0, k0, _ = best
-    for a in np.geomspace(a0 / 1.6, a0 * 1.6, 8):
-        for k in np.geomspace(max(k0 / 1.6, 1.01), k0 * 1.6, 8):
-            got = outcome(a, k)
-            d = float(np.linalg.norm(got - target))
-            if d < best[0]:
-                best = (d, a, k, got)
-    d, a, k, got = best
-    return a, k, float(got[0]), float(got[1])
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
@@ -417,6 +378,10 @@ def rational_limit(xs, fs):
     fs = np.asarray(fs, dtype=float)
     if xs.size != 3 or fs.size != 3:
         raise ValueError("rational_limit needs exactly three samples")
+    if np.all(fs == fs[0]):
+        # the system is singular only for f = a + b/x, whose limit is
+        # finite only when b = 0: a constant is its own limit
+        return float(fs[0])
     A = np.column_stack([np.ones(3), xs, -xs * fs])
     a, b, c = np.linalg.solve(A, fs)
     return float(a)

@@ -10,16 +10,14 @@ so the reported constants do not inherit grid noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .distributions import (Binary, Discrete, Pareto, PointMass,
-                            TruncatedPareto, Uniform, ValueDistribution)
+from .distributions import ValueDistribution
 from .mechanisms import DirectMechanism
 from .quadrature import adaptive_quad
 from .technology import IsoElasticCost
@@ -372,27 +370,16 @@ class OracleResult:
     warnings: tuple = ()
 
 
-def _menu_profit_batch(values, masses, cost, q_batch):
-    """Profit of each nondecreasing quality vector in q_batch (rows)."""
-    values = np.asarray(values, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    dv = np.diff(values)
-    rent = np.concatenate(
-        [np.zeros((q_batch.shape[0], 1)),
-         np.cumsum(dv[None, :] * q_batch[:, :-1], axis=1)], axis=1)
-    t = values[None, :] * q_batch - rent
-    return ((t - np.asarray(cost.c(q_batch))) * masses[None, :]).sum(axis=1)
-
-
-MAX_EXHAUSTIVE_COMBOS = 10_000_000
-
-
 def discrete_oracle(inst: DiscreteScreeningInstance,
                     mode: str = "exhaustive") -> OracleResult:
-    """Brute-force optimal screening for a discrete-type instance.
+    """Optimal screening for a discrete-type instance.
 
-    exhaustive: enumerate all nondecreasing quality vectors on the grid and
-    price them by binding adjacent ICs downward.  reduced: maximize the
+    exhaustive: exact dynamic program over nondecreasing quality vectors on
+    the grid, priced by binding adjacent ICs downward.  With those ICs profit
+    is separable, sum_i w_i q_i - m_i c(q_i) with marginal revenue
+    w_i = m_i v_i - (v_{i+1} - v_i)(1 - F_i), so a suffix maximum from the
+    top type down and a forward pass of first maximisers give the
+    lexicographically smallest optimal menu.  reduced: maximize the
     ironed-virtual-value objective type by type (exact, no grid).
     """
     values = np.asarray(inst.values, dtype=float)
@@ -411,35 +398,23 @@ def discrete_oracle(inst: DiscreteScreeningInstance,
     grid = np.asarray(inst.quality_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("exhaustive mode needs a quality grid")
-    n = len(values)
-    n_combos = math.comb(len(grid) + n - 1, n)
-    if n_combos > MAX_EXHAUSTIVE_COMBOS:
-        raise ValueError(
-            f"{n_combos} nondecreasing menus exceed the exhaustive cap "
-            f"{MAX_EXHAUSTIVE_COMBOS}; this is a correctness oracle, not a "
-            "solver")
 
-    best_profit = -math.inf
-    best_alloc = None
-    batch = []
-    combos = itertools.combinations_with_replacement(range(len(grid)), n)
-    for idx in combos:
-        batch.append(idx)
-        if len(batch) == 65536:
-            profits = _menu_profit_batch(values, masses, cost, grid[np.array(batch)])
-            j = int(np.argmax(profits))
-            # deterministic tie-break: lexicographically smallest allocation,
-            # guaranteed by enumeration order + strict improvement
-            if profits[j] > best_profit:
-                best_profit = float(profits[j])
-                best_alloc = grid[np.array(batch[j])]
-            batch = []
-    if batch:
-        profits = _menu_profit_batch(values, masses, cost, grid[np.array(batch)])
-        j = int(np.argmax(profits))
-        if profits[j] > best_profit:
-            best_profit = float(profits[j])
-            best_alloc = grid[np.array(batch[j])]
+    weight = masses * values
+    weight[:-1] -= np.diff(values) * (1.0 - np.cumsum(masses)[:-1])
+    gain = weight[:, None] * grid - masses[:, None] * np.asarray(cost.c(grid))
+    # after this loop gain[i, g] is the best profit from types i.. with
+    # type i at grid point g and every type above at g or higher
+    best_above = np.zeros(grid.size)
+    for row in gain[::-1]:
+        row += best_above
+        best_above = np.maximum.accumulate(row[::-1])[::-1]
+    idx = [0]
+    for row in gain:
+        idx.append(idx[-1] + int(np.argmax(row[idx[-1]:])))
+    best_alloc = grid[idx[1:]]
+    # price the menu by its transfers, as a seller would collect them
+    t = _adjacent_ic_transfers(values, best_alloc)
+    best_profit = float(((t - np.asarray(cost.c(best_alloc))) * masses).sum())
 
     if np.any(np.isclose(best_alloc, grid[-1])) and grid[-1] > 0:
         notes.append("optimum touches the top of the quality grid; the grid "

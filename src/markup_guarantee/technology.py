@@ -7,14 +7,12 @@ utilities with linear production cost normalized to 1.
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import adaptive_quad, quad_to_inf
+from .quadrature import quad_to_inf
 
 __all__ = [
     "CostValidationError",

@@ -145,8 +145,7 @@ class TestSweep:
         assert len(rows) == 2
         assert "pi_ratio" in rows[0]
 
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MARKUP_GUARANTEE_THREADS", "2")
+    def test_rows_keep_input_order(self, tmp_path):
         cfg = write_cfg(tmp_path, "s.json", {
             "version": 1, "eta": 2.0, "mechanism": "guarantee",
             "battery": [{"kind": "uniform", "a": 0.0, "b": 1.0},
@@ -154,5 +153,5 @@ class TestSweep:
                         {"kind": "point_mass", "v0": 1.0}]})
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
-        # output preserved in input order despite the worker pool
-        assert "uniform" in rows[0] and "power" in rows[1]
+        assert ("uniform" in rows[0] and "power" in rows[1]
+                and "point_mass" in rows[2])

@@ -96,6 +96,18 @@ class TestProfitAndSurplus:
         assert Pi == pytest.approx(0.125, abs=1e-9)
         assert U == pytest.approx(0.25, abs=1e-9)
 
+    def test_mixture_density_jump_inside_support(self):
+        # Uniform(0, 1.7055...) ends inside the other components' supports,
+        # so the mixture density jumps there; the guarantee menu's shares
+        # are exact for every law
+        F = Mixture((Uniform(0, 2.09832845016647), Power(3.872848054957398),
+                     Uniform(0, 1.7055309704983412)),
+                    (0.38315019488531304, 0.546797758968425,
+                     0.07005204614626195))
+        rep = full_report(F, guarantee_mechanism(2.0), IsoElasticCost(eta=2.0))
+        assert abs(rep.pi_ratio - 0.25) < 1e-12
+        assert abs(rep.u_ratio - 0.5) < 1e-12
+
     def test_full_report_ratios(self):
         rep = full_report(Uniform(0.0, 1.0), guarantee_mechanism(2.0),
                           IsoElasticCost(eta=2.0))

@@ -215,6 +215,11 @@ class TestParetoOutcomes:
         assert rational_limit(xs, [f(x) for x in xs]) == pytest.approx(0.25,
                                                                        abs=1e-12)
 
+    def test_rational_limit_of_constant_samples(self):
+        # equal samples make the fitting system singular; a constant is an
+        # exact (1,1) rational whose limit is itself
+        assert rational_limit([1 / 8, 1 / 14, 1 / 20], [0.3, 0.3, 0.3]) == 0.3
+
     def test_interior_alpha_matches_closed_form(self):
         pi, u = pareto_bayes_outcome(5.0, 2.0, n_grid=3000)
         assert pi == pytest.approx(0.64, abs=1e-6)

@@ -5,6 +5,7 @@ construction built on scipy's qhull bindings, and the ironed allocation is
 checked to dominate the naive one in expected virtual surplus.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,24 @@ class TestBayesOptimal:
                                                                rel=1e-9)
 
 
+def _enumerate_menus(inst):
+    """The oracle's own oracle: price every nondecreasing menu on the grid
+    by binding adjacent ICs downward; the first best in lexicographic order
+    wins.  Returns (profit, allocation)."""
+    values = np.asarray(inst.values)
+    masses = np.asarray(inst.masses)
+    best = (-math.inf, None)
+    for idx in itertools.combinations_with_replacement(
+            range(len(inst.quality_grid)), len(values)):
+        q = np.asarray(inst.quality_grid)[list(idx)]
+        rent = np.concatenate([[0.0], np.cumsum(np.diff(values) * q[:-1])])
+        t = values * q - rent
+        profit = float(((t - np.asarray(inst.cost.c(q))) * masses).sum())
+        if profit > best[0]:
+            best = (profit, tuple(q))
+    return best
+
+
 class TestDiscreteOracle:
     def test_two_type_hand_computation(self):
         # phi_1 = 1 - 0.5/0.5 = 0 -> excluded; phi_2 = 2 -> q = 2, profit 1
@@ -227,14 +246,46 @@ class TestDiscreteOracle:
         red = discrete_oracle(inst, mode="reduced")
         assert ex.profit == pytest.approx(red.profit, rel=2e-3)
 
-    def test_combinatorial_cap(self):
+    def test_large_instance_stays_below_reduced(self):
+        # 15 types x 40 grid points is ~8.7e12 nondecreasing menus; the
+        # grid optimum cannot beat the exact continuous-quality optimum
         inst = DiscreteScreeningInstance(
             values=tuple(range(1, 16)),
             masses=tuple([1.0 / 15] * 15),
             cost=IsoElasticCost(eta=2.0),
             quality_grid=tuple(np.linspace(0, 20, 40)))
-        with pytest.raises(ValueError):
-            discrete_oracle(inst, mode="exhaustive")
+        ex = discrete_oracle(inst, mode="exhaustive")
+        red = discrete_oracle(inst, mode="reduced")
+        assert ex.profit <= red.profit
+        assert (red.profit - ex.profit) / red.profit < 1e-3
+
+    def test_exact_tie_takes_smallest_menu(self):
+        # w = (0, 1): q2 = 1.5 and q2 = 2.5 both earn q - q^2 / 4 = 0.9375
+        inst = DiscreteScreeningInstance(
+            values=(1.0, 2.0), masses=(0.5, 0.5),
+            cost=IsoElasticCost(eta=2.0), quality_grid=(0.0, 1.5, 2.5))
+        res = discrete_oracle(inst, mode="exhaustive")
+        assert res.allocation == (0.0, 1.5)
+        assert res.profit == 0.9375
+        assert res.warnings == ()
+
+    def test_matches_enumeration_on_random_instances(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            eta = float(rng.choice([1.5, 2.0, 3.0]))
+            values = np.sort(rng.uniform(0.1, 3.0, n))
+            masses = rng.dirichlet(np.ones(n))
+            g_top = 1.2 * values[-1] ** (1.0 / (eta - 1.0))
+            grid = np.concatenate(
+                [[0.0], np.sort(rng.uniform(0.0, g_top, int(rng.integers(1, 11))))])
+            inst = DiscreteScreeningInstance(
+                values=tuple(values), masses=tuple(masses),
+                cost=IsoElasticCost(eta=eta), quality_grid=tuple(grid))
+            profit, alloc = _enumerate_menus(inst)
+            res = discrete_oracle(inst, mode="exhaustive")
+            assert res.profit == pytest.approx(profit, rel=1e-12, abs=0.0)
+            assert res.allocation == alloc
 
     def test_grid_boundary_warning(self):
         inst = DiscreteScreeningInstance(

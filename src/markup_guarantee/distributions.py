@@ -33,6 +33,12 @@ __all__ = [
 _MASS_TOL = 1e-12
 
 
+def _finite(*params):
+    """Reject NaN and infinite parameters when a law is built."""
+    if not all(math.isfinite(x) for x in params):
+        raise ValueError("distribution parameters must be finite")
+
+
 class ValueDistribution:
     """Base class for buyer value laws F on [v_lo, v_hi] (v_hi may be inf)."""
 
@@ -101,6 +107,7 @@ class Pareto(ValueDistribution):
     alpha: float
 
     def __post_init__(self):
+        _finite(self.alpha)
         if self.alpha <= 0:
             raise ValueError("Pareto shape must be positive")
 
@@ -148,6 +155,7 @@ class TruncatedPareto(ValueDistribution):
     k: float
 
     def __post_init__(self):
+        _finite(self.alpha, self.k)
         if self.alpha <= 0:
             raise ValueError("shape must be positive")
         if self.k <= 1.0:
@@ -204,6 +212,7 @@ class Uniform(ValueDistribution):
     b: float
 
     def __post_init__(self):
+        _finite(self.a, self.b)
         if not (0.0 <= self.a < self.b):
             raise ValueError("need 0 <= a < b")
 
@@ -245,6 +254,7 @@ class Binary(ValueDistribution):
     p_hi: float
 
     def __post_init__(self):
+        _finite(self.v_lo, self.v_hi, self.p_hi)
         if not (0.0 <= self.v_lo < self.v_hi):
             raise ValueError("need 0 <= v_lo < v_hi")
         if not (0.0 < self.p_hi < 1.0):
@@ -287,6 +297,7 @@ class Power(ValueDistribution):
     alpha: float
 
     def __post_init__(self):
+        _finite(self.alpha)
         if self.alpha <= 0:
             raise ValueError("power exponent must be positive")
 
@@ -334,15 +345,20 @@ class Discrete(ValueDistribution):
         object.__setattr__(self, "masses", masses)
         if len(values) != len(masses) or not values:
             raise ValueError("values and masses must be equal-length, nonempty")
+        _finite(*values, *masses)
         if any(v < 0 for v in values):
             raise ValueError("values must be nonnegative")
         if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
             raise ValueError("values must be strictly ascending")
-        if any(m < 0 for m in masses):
-            raise ValueError("masses must be nonnegative")
+        if any(m <= 0 for m in masses):
+            raise ValueError("masses must be positive")
         if abs(sum(masses) - 1.0) > _MASS_TOL:
             raise ValueError("masses must sum to 1 within 1e-12")
         object.__setattr__(self, "_cum", tuple(np.cumsum(masses)))
+        # P(V > v) between atoms, summed from the top so that it is exactly
+        # 0 above the last one
+        object.__setattr__(self, "_sf", np.concatenate(
+            [[1.0], np.cumsum(masses[::-1])[::-1][1:], [0.0]]))
 
     @property
     def support(self):
@@ -353,6 +369,10 @@ class Discrete(ValueDistribution):
         idx = np.searchsorted(self.values, v, side="right")
         cum = np.concatenate([[0.0], self._cum])
         return cum[idx]
+
+    def sf(self, v):
+        v = np.asarray(v, dtype=float)
+        return self._sf[np.searchsorted(self.values, v, side="right")]
 
     def pdf(self, v):
         return np.zeros_like(np.asarray(v, dtype=float))
@@ -382,6 +402,7 @@ class PointMass(ValueDistribution):
     v0: float
 
     def __post_init__(self):
+        _finite(self.v0)
         if self.v0 < 0:
             raise ValueError("point mass location must be nonnegative")
 
@@ -426,6 +447,7 @@ class Mixture(ValueDistribution):
         object.__setattr__(self, "weights", weights)
         if len(comps) != len(weights) or not comps:
             raise ValueError("components and weights must be equal-length, nonempty")
+        _finite(*weights)
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if abs(sum(weights) - 1.0) > _MASS_TOL:

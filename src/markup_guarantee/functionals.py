@@ -69,8 +69,9 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
             res = quad_to_inf(integrand, edges[-1])
             value += res.value
             err += res.error
-    for loc, mass in F.atoms():
-        value += mass * float(np.atleast_1d(np.asarray(g(loc), dtype=float))[0])
+    if F.atoms():
+        locs, masses = np.array(F.atoms()).T
+        value += float(masses @ np.asarray(g(locs), dtype=float))
     return value, err
 
 

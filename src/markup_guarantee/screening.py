@@ -1,23 +1,23 @@
 """Bayes-optimal screening: virtual values, ironing, and a discrete oracle.
 
-Ironing operates in quantile space: the running integral of the virtual
-value along quantiles is replaced by its greatest convex minorant, whose
-(nondecreasing) derivative is the ironed virtual value.  Outside ironed
-intervals the curve coincides with the raw virtual value exactly; inside,
-it equals the conditional mean of the raw value, recomputed by quadrature
-so the reported constants do not inherit grid noise.
+Ironing works on the revenue curve of Bulow and Roberts (1989): a price p
+sells to the share q = P(V >= p) and earns R = p q.  Its slope dR/dq is the
+virtual value and an atom anywhere is a linear piece, so one path irons
+every law: the ironed virtual value is the slope of the curve's concave
+hull.  A hull chord's slope (R(a) - R(b)) / (q(a) - q(b)) is the exact
+conditional mean of the virtual value on it, and smooth chord ends are
+solved for exactly, so the grid only decides where the hull looks.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .distributions import ValueDistribution
+from .distributions import Discrete, ValueDistribution
 from .mechanisms import DirectMechanism
 from .quadrature import adaptive_quad
 from .technology import IsoElasticCost
@@ -35,10 +35,6 @@ __all__ = [
     "discretize",
 ]
 
-# phi_bar values in (-EXCLUSION_TOL, 0) are clipped to 0 to avoid spurious
-# exclusion jitter at the participation boundary
-EXCLUSION_TOL = 1e-12
-
 
 class AtomError(ValueError):
     """Virtual value requested at a mass point of the distribution."""
@@ -51,8 +47,7 @@ def virtual_value(F: ValueDistribution, v):
     if atom_locs.size and np.any(np.isclose(np.atleast_1d(v_arr)[:, None],
                                             atom_locs[None, :],
                                             rtol=1e-13, atol=0.0)):
-        raise AtomError("virtual value is undefined at a mass point; use the "
-                        "discrete screening path")
+        raise AtomError("virtual value is undefined at a mass point")
     f = np.asarray(F.pdf(v_arr), dtype=float)
     if np.any(f <= 0.0):
         raise ValueError("virtual value needs a positive density at v")
@@ -61,45 +56,45 @@ def virtual_value(F: ValueDistribution, v):
 
 @dataclass(frozen=True)
 class VirtualValueCurve:
-    """Raw and ironed virtual values with the intervals where ironing binds."""
+    """Raw and ironed virtual values.
+
+    ironed_intervals holds the hull's chords as (v_lo, v_hi, constant), the
+    ironed value on [v_lo, v_hi); every atom lies in one, the top atom's
+    reaching v_hi = inf.  cutoff is the smallest value with a nonnegative
+    ironed virtual value, None when every type has one.
+    """
 
     distribution: ValueDistribution
     ironed_intervals: tuple          # ((v_lo, v_hi, constant), ...)
-    top_atom: Optional[tuple] = None  # (location, mass) or None
+    cutoff: Optional[float] = None
+
+    def __post_init__(self):
+        rows = [(-math.inf, -math.inf, 0.0), *self.ironed_intervals]
+        object.__setattr__(self, "_table", [np.array(c) for c in zip(*rows)])
 
     def phi(self, v):
         return virtual_value(self.distribution, v)
 
+    def _chord(self, v_arr):
+        """Row of the chord holding each value, 0 outside every chord."""
+        idx = self._table[0].searchsorted(v_arr, "right") - 1
+        return idx * (v_arr < self._table[1][idx])
+
     def phi_bar(self, v):
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.empty_like(v_arr)
-        regular = np.ones(v_arr.shape, dtype=bool)
-        for lo, hi, const in self.ironed_intervals:
-            inside = (v_arr >= lo) & (v_arr <= hi)
-            out[inside] = const
-            regular &= ~inside
-        if self.top_atom is not None:
-            at_top = v_arr >= self.top_atom[0]
-            out[at_top] = self.top_atom[0]
-            regular &= ~at_top
-        if regular.any():
-            out[regular] = virtual_value(self.distribution, v_arr[regular])
+        idx = self._chord(v_arr)
+        out = self._table[2][idx]
+        if np.count_nonzero(idx) < idx.size:
+            out[idx == 0] = virtual_value(self.distribution, v_arr[idx == 0])
         return out if np.ndim(v) else float(out[0])
 
     def is_ironed(self, v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        flag = np.zeros(v_arr.shape, dtype=bool)
-        for lo, hi, _ in self.ironed_intervals:
-            flag |= (v_arr >= lo) & (v_arr <= hi)
+        flag = self._chord(np.atleast_1d(np.asarray(v, dtype=float))) > 0
         return flag if np.ndim(v) else bool(flag[0])
 
     def breakpoints(self):
-        pts = []
-        for lo, hi, _ in self.ironed_intervals:
-            pts.extend([lo, hi])
-        if self.top_atom is not None:
-            pts.append(self.top_atom[0])
-        return tuple(sorted(pts))
+        return tuple(sorted(x for lo, hi, _ in self.ironed_intervals
+                            for x in (lo, hi) if math.isfinite(x)))
 
 
 def _lower_convex_hull(x, y):
@@ -122,90 +117,144 @@ def _lower_convex_hull(x, y):
     return hull
 
 
+def _root(g, a, b, ga, gb):
+    """Root of g in (a, b) given ga > 0 > gb: Illinois false position."""
+    side = 0
+    while b - a > 2e-16 * max(abs(a), abs(b)):
+        c = (a * gb - b * ga) / (gb - ga)
+        c = c if a < c < b else 0.5 * (a + b)
+        gc = g(c) if a < c < b else 0.0
+        if gc > 0.0:
+            a, ga, gb, side = c, gc, gb * (0.5 if side < 0 else 1.0), -1
+        elif gc < 0.0:
+            b, gb, ga, side = c, gc, ga * (0.5 if side > 0 else 1.0), 1
+        else:
+            return c
+    return a if ga < -gb else b
+
+
+def _touch(F, knots, lam, lo, hi):
+    """(p, q(p)) where a line of slope lam touches the revenue curve from
+    above on [lo, hi]: the best local maximum of H = (p - lam) P(V > p).
+    As H' = f (lam - phi), between knots that is where phi crosses lam
+    upwards, or an end, nudged one ulp inside (off any atom)."""
+    def h(x):
+        return float(F.sf(x)) - (x - lam) * float(F.pdf(x))
+
+    best = None
+    cuts = [lo, *knots[(knots > lo) & (knots < hi)], hi]
+    for u, w in zip(cuts, cuts[1:]):
+        u, w = math.nextafter(u, w), math.nextafter(w, u)
+        hu = h(u)
+        if hu <= 0.0 or u >= w:
+            x = u
+        else:
+            hw = h(w)
+            x = w if hw >= 0.0 else _root(h, u, w, hu, hw)
+        qx = float(F.sf(x))
+        if best is None or (x - lam) * qx > (best[0] - lam) * best[1]:
+            best = (x, qx)
+    return best
+
+
 def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
-    """Iron the virtual value of F by concavification in quantile space.
+    """Iron the virtual value of F on its revenue curve, for any law.
 
-    Atoms are allowed only at the top of the support; the atom is handled as
-    a terminal segment where the ironed value equals the atom location (no
-    rent is owed above the top type).
+    The curve is sampled at n_grid quantiles (16 more between each pair of
+    knots), every knot (support and density-segment ends, atoms) and q = 0.
+    A hull chord is ironed when it skips a point, spans a gap, or starts at
+    an atom or at a knot where the density drops, which no hull vertex of
+    the continuum can sit on.  Ends at other knots stay put; a smooth end
+    solves phi = slope near its vertex, and resetting the slope to the new
+    chord's is Newton's method on max H_a - max H_b (derivative q_b - q_a).
     """
-    lo, hi = F.support
-    atoms = F.atoms()
-    top_atom = None
-    if atoms:
-        if len(atoms) > 1 or atoms[0][0] < hi:
-            raise ValueError("ironing supports atoms only at the top of the "
-                             "support; use the discrete path for atomic laws")
-        top_atom = atoms[0]
-    cont_mass = 1.0 - (top_atom[1] if top_atom else 0.0)
-    if cont_mass <= 0.0:
-        raise ValueError("distribution has no continuous part to iron")
+    (lo, hi), atoms, segments = F.support, dict(F.atoms()), F.density_segments()
+    knots = np.unique([x for x in (lo, hi, *atoms, *np.ravel(segments))
+                       if math.isfinite(x)])
+    k_mass = np.array([atoms.get(float(k), 0.0) for k in knots])
+    k_down = (k_mass == 0.0) & (F.pdf(np.nextafter(knots, math.inf))
+                                < F.pdf(np.nextafter(knots, -math.inf)))
 
-    # quantile grid over the continuous part; skip the exact endpoints where
-    # the density may vanish
-    eps = cont_mass / n_grid * 1e-6
-    s = np.linspace(eps, cont_mass - eps, n_grid)
-    v = np.asarray(F.quantile(s), dtype=float)
-    # guard against flat quantile stretches from numerical inversion
-    keep = np.concatenate([[True], np.diff(v) > 0.0])
-    s, v = s[keep], v[keep]
-    phi = np.asarray(virtual_value(F, v), dtype=float)
+    grid = np.empty(0)
+    if segments:
+        eps = 1e-6 / n_grid
+        start = np.asarray(F.cdf(knots), dtype=float)
+        width = np.append(start[1:] - k_mass[1:], 1.0) - start
+        inner = start[:, None] + width[:, None] * ((np.arange(16) + 0.5) / 16)
+        grid = np.asarray(F.quantile(np.append(np.linspace(
+            eps, 1.0 - eps, n_grid), inner[width > 1e-12])), dtype=float)
+        # keep prices inside a density segment and not rounded onto a knot
+        j = np.searchsorted(knots, grid)
+        near = np.minimum(np.abs(grid - knots[np.maximum(j - 1, 0)]),
+                          np.abs(knots[np.minimum(j, knots.size - 1)] - grid))
+        grid = grid[(near > 1e-13 * np.abs(grid)) & np.any(
+            [(grid > a) & (grid < b) for a, b in segments], axis=0)]
+    # the last point, q = 0, closes the curve at the top of the support
+    price = np.append(np.sort(np.concatenate([knots, grid])), hi)
+    j = np.minimum(np.searchsorted(knots, price), knots.size - 1)
+    is_knot, last = knots[j] == price, price.size - 1
+    mass = np.where(is_knot, k_mass[j], 0.0)
+    down = is_knot & k_down[j]
+    loose = ~is_knot | down         # ends solved for
+    mass[last], down[last], loose[last] = 0.0, False, False
+    q = np.asarray(F.sf(price), dtype=float) + mass
+    R = np.append(price[:last] * q[:last], 0.0)
+    # of the points selling to one share (a support gap) keep the dearest
+    keep = q > np.append(np.maximum.accumulate(q[::-1])[-2::-1], -1.0)
+    price, q, R, down, loose, starts = (
+        x[keep] for x in (price, q, R, down, loose, (mass > 0.0) | down))
+    last = price.size - 1
+    top = last if math.isfinite(hi) else last - 1
 
-    # cumulative virtual value along quantiles (trapezoid)
-    psi = np.concatenate([[0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * np.diff(s))])
-    hull = _lower_convex_hull(s, psi)
+    # a step over a knot that was dropped above spans a support gap
+    starts[:-1] |= (np.searchsorted(knots, price[1:], side="left")
+                    > np.searchsorted(knots, price[:-1], side="right"))
+    hull = _lower_convex_hull((-q).tolist(), (-R).tolist())
+    price, q, R, down, loose, starts = (  # floats for the point loops
+        x.tolist() for x in (price, q, R, down, loose, starts))
+    chords = []
+    for i, j in zip(hull, hull[1:]):
+        if chords and chords[-1][1] == i and down[i]:
+            chords[-1][1] = j
+        elif j > i + 1 or starts[i]:
+            chords.append([i, j])
 
     intervals = []
-    cell = (s[-1] - s[0]) / max(len(s) - 1, 1)
-    for i1, i2 in zip(hull, hull[1:]):
-        if i2 - i1 <= 1:
-            continue
-        a, b = float(v[i1]), float(v[i2])
-        if (s[i2] - s[i1]) < 4 * cell:
-            warnings.warn(
-                f"ironed interval ({a:g}, {b:g}) spans fewer than 4 grid "
-                "cells; increase n_grid", stacklevel=2)
-        # polish the constant: conditional mean of phi on (a, b)
-        num = adaptive_quad(
-            lambda x: np.asarray(virtual_value(F, x), dtype=float)
-            * np.asarray(F.pdf(x), dtype=float), a, b).value
-        den = float(np.asarray(F.cdf(b)) - np.asarray(F.cdf(a)))
-        const = num / den if den > 0 else float((psi[i2] - psi[i1]) / (s[i2] - s[i1]))
-        intervals.append((a, b, const))
+    for i1, i2 in chords:
+        a, qa, Ra, b, qb, Rb = price[i1], q[i1], R[i1], price[i2], q[i2], R[i2]
+        # a smooth end looks for its touch point between its grid neighbours;
+        # a drop knot looks outward only, and the two ends of a chord
+        # never search the same cell
+        left = loose[i1] and (price[i1 - 1], price[
+            i1 if down[i1] or i1 + 1 >= i2 else i1 + 1])
+        right = loose[i2] and (price[i2 if down[i2] else max(i2 - 1, i1)],
+                               price[min(i2 + 1, top)])
+        lam = (Ra - Rb) / (qa - qb)
+        for _ in range(50 if left or right else 0):
+            if left:
+                a, qa = _touch(F, knots, lam, *left)
+                Ra = a * qa
+            if right:
+                b, qb = _touch(F, knots, lam, *right)
+                Rb = b * qb
+            step, lam = lam, (Ra - Rb) / (qa - qb)
+            # stop once the step is down to the slope's rounding error
+            if abs(step - lam) * (qa - qb) <= 1e-15 * (Ra + Rb + abs(lam)):
+                break
+        intervals.append((a, math.inf if i2 == last else b, lam))
 
+    # R peaks at its grid maximum, at a knot, or where phi crosses 0 next
+    # to it: a touch of slope 0 strictly inside one of the two brackets
+    k = R.index(max(R))
+    cutoff, best = price[k], R[k]
+    for u, w in ((max(k - 1, 0), k), (k, min(k + 1, top))):
+        if segments and price[u] < price[w]:
+            x, qx = _touch(F, knots, 0.0, price[u], price[w])
+            if (math.nextafter(price[u], math.inf) < x
+                    < math.nextafter(price[w], -math.inf) and x * qx > best):
+                cutoff, best = x, x * qx
     return VirtualValueCurve(distribution=F, ironed_intervals=tuple(intervals),
-                             top_atom=top_atom)
-
-
-def _is_purely_atomic(F):
-    return bool(F.atoms()) and not F.density_segments()
-
-
-def _exclusion_threshold(curve: VirtualValueCurve):
-    """Smallest served value: where phi_bar crosses 0 (None if all served)."""
-    F = curve.distribution
-    lo, hi = F.support
-    probe_hi = curve.top_atom[0] if curve.top_atom else hi
-    if math.isinf(probe_hi):
-        # walk up until phi_bar turns nonnegative; nondecreasing, so the
-        # crossing is bracketed once found
-        probe_hi = max(2.0 * lo, lo + 1.0)
-        while float(np.asarray(curve.phi_bar(probe_hi))) < 0.0:
-            probe_hi *= 2.0
-            if probe_hi > 1e12:
-                raise ValueError("ironed virtual value never turns positive")
-    probe_lo = lo + max(1e-12, abs(lo) * 1e-12, (probe_hi - lo) * 1e-9)
-    if float(np.asarray(curve.phi_bar(probe_lo))) >= 0.0:
-        return None
-    # bisect on phi_bar (nondecreasing)
-    a, b = lo, probe_hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if float(np.asarray(curve.phi_bar(mid))) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+                             cutoff=None if cutoff == lo else cutoff)
 
 
 def bayes_optimal_mechanism(F: ValueDistribution, cost: IsoElasticCost,
@@ -213,61 +262,25 @@ def bayes_optimal_mechanism(F: ValueDistribution, cost: IsoElasticCost,
     """Seller-optimal menu for F under iso-elastic cost.
 
     First-order condition c'(Q) = phi_bar gives Q(v) = max(phi_bar(v), 0)
-    raised to 1/(eta-1); types with negative ironed virtual value are
-    excluded (Q = 0, T = 0).  Purely atomic laws are solved exactly by the
-    discrete screening reduction instead of ironing.
+    raised to 1/(eta-1); types below the exclusion cutoff get Q = 0, T = 0.
     """
     eta = cost.eta
     if not F.tail_condition(eta):
         raise ValueError("surplus is infinite for this (F, eta); truncate the "
                          "tail explicitly")
-    if _is_purely_atomic(F):
-        values = np.array([loc for loc, _ in F.atoms()])
-        masses = np.array([m for _, m in F.atoms()])
-        phi_bar = _ironed_discrete_virtuals(values, masses)
-        q = np.maximum(phi_bar, 0.0) ** (1.0 / (eta - 1.0))
-        t = _adjacent_ic_transfers(values, q)
-
-        def Q(v):
-            v_arr = np.asarray(v, dtype=float)
-            idx = np.searchsorted(values, v_arr, side="right") - 1
-            alloc = np.where(idx >= 0, q[np.maximum(idx, 0)], 0.0)
-            return alloc
-
-        def T(v):
-            v_arr = np.asarray(v, dtype=float)
-            idx = np.searchsorted(values, v_arr, side="right") - 1
-            return np.where(idx >= 0, t[np.maximum(idx, 0)], 0.0)
-
-        return DirectMechanism(Q=Q, T=T, breakpoints=tuple(values),
-                               label="bayes_optimal(discrete)")
-
     curve = iron(F, n_grid=n_grid)
-    lo, hi = F.support
-    v_cut = _exclusion_threshold(curve)
+    lo = F.support[0]
+    start = lo if curve.cutoff is None else curve.cutoff
     power = 1.0 / (eta - 1.0)
-    top = curve.top_atom
 
     def Q(v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.zeros_like(v_arr)
-        served = v_arr >= (v_cut if v_cut is not None else lo)
-        if top is not None:
-            at_top = v_arr >= top[0]
-            out[at_top] = top[0] ** power
-            served &= ~at_top
-        if served.any():
-            pb = np.asarray(curve.phi_bar(v_arr[served]), dtype=float)
-            pb = np.where(pb > -EXCLUSION_TOL, np.maximum(pb, 0.0), pb)
-            out[served] = np.maximum(pb, 0.0) ** power
-        return out if np.ndim(v) else float(out[0])
+        v_arr = np.asarray(v, dtype=float)
+        pb = curve.phi_bar(np.maximum(v_arr, start))
+        out = np.maximum(pb, 0.0) ** power * (v_arr >= start)
+        return out if out.ndim else float(out)
 
-    bps = set(curve.breakpoints())
-    bps.add(lo)
-    if v_cut is not None:
-        bps.add(v_cut)
-    mech = DirectMechanism(Q=Q, breakpoints=tuple(sorted(bps)),
-                           label="bayes_optimal")
+    mech = DirectMechanism(Q=Q, label="bayes_optimal", breakpoints=tuple(
+        sorted({lo, start, *curve.breakpoints()})))
     # stash the curve for callers that want markup diagnostics
     object.__setattr__(mech, "virtual_curve", curve)
     return mech
@@ -305,21 +318,6 @@ def discrete_virtual_values(values, masses):
     phi = values.copy()
     phi[:-1] -= (1.0 - cum[:-1]) * np.diff(values) / masses[:-1]
     return phi
-
-
-def _ironed_discrete_virtuals(values, masses):
-    """Iron discrete virtual values via the convex minorant of their
-    mass-weighted running sum."""
-    phi = discrete_virtual_values(values, masses)
-    masses = np.asarray(masses, dtype=float)
-    x = np.concatenate([[0.0], np.cumsum(masses)])
-    y = np.concatenate([[0.0], np.cumsum(phi * masses)])
-    hull = _lower_convex_hull(x, y)
-    out = np.empty_like(phi)
-    for i1, i2 in zip(hull, hull[1:]):
-        slope = (y[i2] - y[i1]) / (x[i2] - x[i1])
-        out[i1:i2] = slope
-    return out
 
 
 def _adjacent_ic_transfers(values, q):
@@ -388,7 +386,7 @@ def discrete_oracle(inst: DiscreteScreeningInstance,
     notes = []
 
     if mode == "reduced":
-        phi_bar = _ironed_discrete_virtuals(values, masses)
+        phi_bar = iron(Discrete(values, masses)).phi_bar(values)
         q = np.maximum(phi_bar, 0.0) ** (1.0 / (cost.eta - 1.0))
         profit = float((masses * (phi_bar * q - np.asarray(cost.c(q)))).sum())
         return OracleResult(profit=profit, allocation=tuple(q), mode="reduced")

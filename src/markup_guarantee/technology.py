@@ -46,8 +46,8 @@ class IsoElasticCost:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 1.0:
-            raise ValueError("iso-elastic cost needs eta > 1")
+        if not 1.0 < self.eta < np.inf:
+            raise ValueError("iso-elastic cost needs a finite eta > 1")
 
     def c(self, q):
         q = np.asarray(q, dtype=float)

@@ -183,6 +183,23 @@ def test_criterion_07_lower_bound():
                     f"edge U/S {rep.u_ratio:.2e}")
 
 
+def test_bayes_shares_do_not_depend_on_grid():
+    """The ironing grid only finds the intervals; their ends and constants
+    are solved exactly, so Pi/S and U/S agree across n_grid."""
+    cost = mg.IsoElasticCost(eta=2.0)
+    worst = 0.0
+    for i in range(60):
+        ref = _mixture_report(2.0, i)
+        for n_grid in (1000, 10_000):
+            F = _MIXTURES[i]
+            rep = mg.full_report(
+                F, mg.bayes_optimal_mechanism(F, cost, n_grid=n_grid), cost)
+            worst = max(worst, abs(rep.pi_ratio - ref.pi_ratio),
+                        abs(rep.u_ratio - ref.u_ratio))
+    assert _verdict("grid independence on 60 mixtures", worst <= 1e-9,
+                    f"max move {worst:.1e}")
+
+
 def test_criterion_08_eta2_boundary():
     junction_upper = mg.eta2_boundary(2.0)
     junction_lower = mg.eta2_boundary(2.0 - 1e-16)

@@ -155,3 +155,16 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
         assert ("uniform" in rows[0] and "power" in rows[1]
                 and "point_mass" in rows[2])
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "power", "alpha": float("nan")},
+        {"kind": "pareto", "alpha": float("inf")},
+        {"kind": "discrete", "values": [1.0, 2.0, 3.0],
+         "masses": [0.5, 0.0, 0.5]},
+    ], ids=["power-nan", "pareto-inf", "discrete-zero-mass"])
+    def test_invalid_law_is_config_error(self, tmp_path, capsys, spec):
+        cfg = write_cfg(tmp_path, "s.json", {
+            "version": 1, "eta": 2.0, "mechanism": "bayes_optimal",
+            "battery": [spec]})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             Uniform, distribution_from_spec,
                                             minimax_distribution,
                                             tail_condition)
+from markup_guarantee.technology import IsoElasticCost
 
 ALL_EXAMPLES = [
     Pareto(2.5),
@@ -130,6 +131,31 @@ def test_discrete_validation():
         Discrete(values=(2.0, 1.0), masses=(0.5, 0.5))
     with pytest.raises(ValueError):
         Discrete(values=(1.0, 2.0), masses=(0.5, 0.6))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Pareto(math.nan), id="pareto-nan"),
+    pytest.param(lambda: Pareto(math.inf), id="pareto-inf"),
+    pytest.param(lambda: TruncatedPareto(2.0, math.inf), id="truncated-k-inf"),
+    pytest.param(lambda: TruncatedPareto(math.nan, 10.0), id="truncated-nan"),
+    pytest.param(lambda: Uniform(0.0, math.inf), id="uniform-inf"),
+    pytest.param(lambda: Uniform(math.nan, 1.0), id="uniform-nan"),
+    pytest.param(lambda: Binary(1.0, math.inf, 0.3), id="binary-inf"),
+    pytest.param(lambda: Power(math.nan), id="power-nan"),
+    pytest.param(lambda: Power(math.inf), id="power-inf"),
+    pytest.param(lambda: Discrete((1.0, math.nan), (0.5, 0.5)),
+                 id="discrete-nan"),
+    pytest.param(lambda: Discrete((1.0, 2.0, 3.0), (0.5, 0.0, 0.5)),
+                 id="discrete-zero-mass"),
+    pytest.param(lambda: PointMass(math.inf), id="point-mass-inf"),
+    pytest.param(lambda: Mixture((Uniform(0.0, 1.0), Power(2.0)),
+                                 (math.nan, 1.0)), id="mixture-nan"),
+    pytest.param(lambda: IsoElasticCost(math.nan), id="cost-nan"),
+    pytest.param(lambda: IsoElasticCost(math.inf), id="cost-inf"),
+])
+def test_invalid_parameters_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_sampling_matches_cdf():

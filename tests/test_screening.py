@@ -7,6 +7,7 @@ checked to dominate the naive one in expected virtual surplus.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,18 +133,78 @@ class TestIroning:
         naive = np.trapezoid((phi * q - cost.c(q)) * f, v)
         assert ironed >= naive - 1e-9
 
-    def test_top_atom_only_restriction(self):
-        with pytest.raises(ValueError):
-            iron(Binary(1.0, 2.0, 0.3))
-        with pytest.raises(ValueError):
-            iron(Mixture(components=(Uniform(0.0, 2.0), PointMass(1.0)),
-                         weights=(0.5, 0.5)))
+    def test_interior_atom_closed_form(self):
+        # U(0, 2) and an atom at 1, half each: phi = 2v - 4 below the atom
+        # and 2v - 2 above it; the atom's linear piece (slope 1) irons with
+        # the types above it up to b = sqrt(6) - 1, where
+        # phi(b) = 2 sqrt(6) - 4 equals the chord's slope
+        F = Mixture(components=(Uniform(0.0, 2.0), PointMass(1.0)),
+                    weights=(0.5, 0.5))
+        cost = IsoElasticCost(eta=2.0)
+        M = bayes_optimal_mechanism(F, cost, n_grid=3000)
+        curve = M.virtual_curve
+        r6 = math.sqrt(6.0)
+        assert len(curve.ironed_intervals) == 1
+        lo, hi, const = curve.ironed_intervals[0]
+        assert lo == 1.0
+        assert hi == pytest.approx(r6 - 1.0, abs=1e-12)
+        assert const == pytest.approx(2.0 * r6 - 4.0, abs=1e-12)
+        assert curve.cutoff == 1.0
+        assert float(np.asarray(M.Q(1.0))) == pytest.approx(2.0 * r6 - 4.0,
+                                                            abs=1e-12)
+        rep = full_report(F, M, cost)
+        assert rep.Pi == pytest.approx(2.0 * r6 - 4.5, abs=1e-12)
+        assert rep.U == pytest.approx((25.0 - 10.0 * r6) / 4.0, abs=1e-12)
+
+    def test_binary_goes_through_iron(self):
+        # two atoms are two linear pieces of the revenue curve: slopes
+        # (v_lo - v_hi p_hi) / (1 - p_hi) and v_hi
+        F = Binary(1.0, 2.0, 0.3)
+        M = bayes_optimal_mechanism(F, IsoElasticCost(eta=2.0))
+        np.testing.assert_allclose(
+            M.virtual_curve.ironed_intervals,
+            ((1.0, 2.0, 0.4 / 0.7), (2.0, math.inf, 2.0)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(M.Q([1.0, 1.5, 2.0]),
+                                   [0.4 / 0.7, 0.4 / 0.7, 2.0], atol=1e-15)
 
     def test_top_atom_becomes_terminal_segment(self):
         F = TruncatedPareto(alpha=2.0, k=50.0)
         curve = iron(F, n_grid=4000)
-        assert curve.top_atom == (50.0, 50.0 ** -2.0)
         assert float(np.asarray(curve.phi_bar(50.0))) == pytest.approx(50.0)
+
+    def test_narrow_interval_at_density_jump(self):
+        # the end of Uniform(0, 0.8774...) inside the other components'
+        # support starts a sub-cell ironed interval; its exact ends and
+        # constant do not depend on the grid
+        F = Mixture(components=(Power(2.5243254431811293),
+                                Uniform(0.0, 0.8774323861523563),
+                                Uniform(0.0, 2.891633776394981)),
+                    weights=(0.9058024524923581, 0.023564756434647127,
+                             0.0706327910729948))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coarse = iron(F, n_grid=2000).ironed_intervals
+            fine = iron(F, n_grid=8000).ironed_intervals
+        assert len(coarse) == len(fine)
+        np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-12)
+        assert coarse[0][:2] == pytest.approx(
+            (0.87694178533102, 0.87792565682834), abs=1e-13)
+
+    def test_small_density_drop_starts_an_interval(self):
+        # at 1/2 the density drops by 0.2%: phi = 2v - 1/(1+w) below and
+        # 2v - 1 above, a jump smaller than phi moves across one cell at
+        # n_grid = 1000, so the knot can be a vertex of the grid's hull;
+        # the drop still starts an interval of width w / (2 (1 + w))
+        w = 0.001
+        F = Mixture(components=(Uniform(0.0, 1.0), Uniform(0.0, 0.5)),
+                    weights=(1.0 - w, w))
+        (a, b, lam), = iron(F, n_grid=1000).ironed_intervals
+        assert a < 0.5 < b
+        assert b - a == pytest.approx(w / (2.0 * (1.0 + w)), abs=1e-12)
+        np.testing.assert_allclose(virtual_value(F, [a, b]), [lam, lam],
+                                   rtol=0.0, atol=1e-12)
+        qa, qb = F.sf([a, b])
+        assert lam == pytest.approx((a * qa - b * qb) / (qa - qb), abs=1e-10)
 
 
 class TestBayesOptimal:
@@ -307,6 +368,20 @@ def test_discretize_preserves_mean():
     assert mean == pytest.approx(F.power_moment(1.0), rel=1e-3)
 
 
+def _pooled(values, masses):
+    """Pool-adjacent-violators on the adjacent-IC virtual values: the
+    mass-weighted isotonic fit, an oracle for ironing atomic laws."""
+    blocks = []                  # [weighted sum, mass, count]
+    for phi, m in zip(discrete_virtual_values(values, masses), masses):
+        blocks.append([phi * m, m, 1])
+        while (len(blocks) > 1 and blocks[-2][0] * blocks[-1][1]
+               >= blocks[-1][0] * blocks[-2][1]):
+            s, m, n = blocks.pop()
+            blocks[-1] = [blocks[-1][0] + s, blocks[-1][1] + m,
+                          blocks[-1][2] + n]
+    return np.concatenate([[s / m] * n for s, m, n in blocks])
+
+
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_ironed_discrete_virtuals_are_monotone(n, seed):
@@ -314,6 +389,8 @@ def test_ironed_discrete_virtuals_are_monotone(n, seed):
     values = np.sort(rng.uniform(0.1, 5.0, n))
     values += np.arange(n) * 1e-6          # enforce strict ascent
     masses = rng.dirichlet(np.ones(n))
-    from markup_guarantee.screening import _ironed_discrete_virtuals
-    out = _ironed_discrete_virtuals(values, masses / masses.sum())
+    masses[-1] = 1.0 - masses[:-1].sum()
+    out = iron(Discrete(values=tuple(values), masses=tuple(masses))).phi_bar(values)
     assert np.all(np.diff(out) >= -1e-9)
+    np.testing.assert_allclose(out, _pooled(values, masses), rtol=1e-12,
+                               atol=1e-12)

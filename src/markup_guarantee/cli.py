@@ -418,10 +418,9 @@ def cmd_procure(args):
         rows = [["quality", f"{eta:.17g}", f"{price:.17g}", f"{share:.17g}"]]
         header = ["side", "eta", "unit_price", "surplus_share"]
     elif side == "quantity":
-        eta = args.eta_bar if args.eta_bar is not None else args.eta
+        eta = args.eta
         if eta is None or eta >= -1.0:
-            raise ConfigError("procure quantity requires an elasticity < -1 "
-                              "(--eta or --eta-bar)")
+            raise ConfigError("procure quantity requires --eta < -1")
         z, share = procurement_quantity(eta)
         theta_grid = np.geomspace(1.1, 10.0, 100)
         certs = verify_procurement_quantity(eta, theta_grid)
@@ -504,8 +503,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--eta", type=float, default=None,
                         help="cost (or demand) elasticity")
-        sp.add_argument("--eta-bar", dest="eta_bar", type=float, default=None,
-                        help="elasticity bound for general technologies")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON scenario config")
         sp.add_argument("--out", type=str, default=None,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_quad, quad_to_inf
-
 __all__ = [
     "ValueDistribution",
     "Pareto",
@@ -52,7 +50,7 @@ class ValueDistribution:
 
     def pdf(self, v):
         """Density of the absolutely continuous part (0 elsewhere)."""
-        raise NotImplementedError
+        return np.zeros_like(np.asarray(v, dtype=float))
 
     def sf(self, v):
         """Survival function 1 - F(v); override where 1 - cdf cancels."""
@@ -70,21 +68,13 @@ class ValueDistribution:
         raise NotImplementedError
 
     def tail_condition(self, eta):
-        """True iff (1 - F(v)) v^{eta/(eta-1)} -> 0, i.e. finite surplus."""
-        raise NotImplementedError
+        """True iff (1 - F(v)) v^{eta/(eta-1)} -> 0, i.e. finite surplus;
+        always so on a bounded support."""
+        return math.isfinite(self.support[1])
 
     def power_moment(self, r):
-        """E[v^r]; closed form where available, quadrature otherwise."""
-        value = 0.0
-        for (a, b) in self.density_segments():
-            f = lambda v: np.asarray(v) ** r * self.pdf(v)
-            if math.isinf(b):
-                value += quad_to_inf(f, a).value
-            else:
-                value += adaptive_quad(f, a, b).value
-        for loc, mass in self.atoms():
-            value += mass * loc ** r
-        return value
+        """E[v^r]; the atom sum here, a closed form in laws with a density."""
+        return sum(mass * loc ** r for loc, mass in self.atoms())
 
     def to_spec(self):
         raise NotImplementedError
@@ -192,9 +182,6 @@ class TruncatedPareto(ValueDistribution):
         q = (1.0 - cont) ** (-1.0 / self.alpha)
         return np.where(u >= 1.0 - self.k ** -self.alpha, self.k, np.minimum(q, self.k))
 
-    def tail_condition(self, eta):
-        return True
-
     def power_moment(self, r):
         a, k = self.alpha, self.k
         tail = k ** (r - a)
@@ -236,9 +223,6 @@ class Uniform(ValueDistribution):
         u = np.asarray(u, dtype=float)
         return self.a + (self.b - self.a) * u
 
-    def tail_condition(self, eta):
-        return True
-
     def power_moment(self, r):
         r1 = r + 1.0
         return (self.b ** r1 - self.a ** r1) / (r1 * (self.b - self.a))
@@ -269,21 +253,12 @@ class Binary(ValueDistribution):
         return np.where(v < self.v_lo, 0.0,
                         np.where(v < self.v_hi, 1.0 - self.p_hi, 1.0))
 
-    def pdf(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
     def atoms(self):
         return ((self.v_lo, 1.0 - self.p_hi), (self.v_hi, self.p_hi))
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(u <= 1.0 - self.p_hi, self.v_lo, self.v_hi)
-
-    def tail_condition(self, eta):
-        return True
-
-    def power_moment(self, r):
-        return (1.0 - self.p_hi) * self.v_lo ** r + self.p_hi * self.v_hi ** r
 
     def to_spec(self):
         return {"kind": "binary", "v_lo": self.v_lo, "v_hi": self.v_hi,
@@ -322,9 +297,6 @@ class Power(ValueDistribution):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return u ** (1.0 / self.alpha)
-
-    def tail_condition(self, eta):
-        return True
 
     def power_moment(self, r):
         return self.alpha / (self.alpha + r)
@@ -374,9 +346,6 @@ class Discrete(ValueDistribution):
         v = np.asarray(v, dtype=float)
         return self._sf[np.searchsorted(self.values, v, side="right")]
 
-    def pdf(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
     def atoms(self):
         return tuple(zip(self.values, self.masses))
 
@@ -385,12 +354,6 @@ class Discrete(ValueDistribution):
         idx = np.searchsorted(self._cum, u, side="left")
         idx = np.clip(idx, 0, len(self.values) - 1)
         return np.asarray(self.values)[idx]
-
-    def tail_condition(self, eta):
-        return True
-
-    def power_moment(self, r):
-        return sum(m * v ** r for v, m in zip(self.values, self.masses))
 
     def to_spec(self):
         return {"kind": "discrete", "values": list(self.values),
@@ -414,20 +377,11 @@ class PointMass(ValueDistribution):
         v = np.asarray(v, dtype=float)
         return np.where(v >= self.v0, 1.0, 0.0)
 
-    def pdf(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
     def atoms(self):
         return ((self.v0, 1.0),)
 
     def quantile(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.v0)
-
-    def tail_condition(self, eta):
-        return True
-
-    def power_moment(self, r):
-        return self.v0 ** r
 
     def to_spec(self):
         return {"kind": "point_mass", "v0": self.v0}

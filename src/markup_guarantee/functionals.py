@@ -1,8 +1,9 @@
 """Surplus functionals: efficient surplus, mechanism profit, consumer surplus.
 
-Expectations are split into the absolutely continuous part (adaptive
-quadrature over the density segments, tails folded by u = 1/v) and the atom
-sum, which is added exactly.  Profit follows
+Expectations are split into the absolutely continuous part (one adaptive
+quadrature over the density segments, split at their ends and at the
+menu's breakpoints, with the tail folded by u = 1/v) and the atom sum,
+which is added exactly.  Profit follows
     Pi = E[v Q(v) - c(Q(v))] - int_0^vbar Q(v) (1 - F(v)) dv
 and consumer surplus is the second integral alone.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .mechanisms import DirectMechanism
-from .quadrature import adaptive_quad, quad_to_inf
+from .quadrature import adaptive_quad
 from .technology import IsoElasticCost
 
 __all__ = [
@@ -42,33 +43,26 @@ class InfiniteSurplusError(ValueError):
     """Tail condition fails: the efficient surplus diverges."""
 
 
-def _merge_breakpoints(a, b, pts):
-    inner = sorted(p for p in pts if a < p < b)
-    return [a, *inner, b]
+def _require_positive_surplus(S):
+    """Shares of S are undefined when S is 0 (or underflows to 0)."""
+    if not S > 0.0:
+        raise ValueError(f"efficient surplus is {S!r}; the shares Pi/S and "
+                         "U/S need a law with positive surplus")
 
 
 def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
-    """E[g(v)] = integral of g f over density segments + atom sum.
+    """E[g(v)] = integral of g f over the density segments + atom sum.
 
     Returns (value, error_estimate).
     """
     value = 0.0
     err = 0.0
-    for (a, b) in F.density_segments():
-        tail = math.isinf(b)
-        edges = [a] + sorted(p for p in breakpoints
-                             if a < p and (tail or p < b))
-        if not tail:
-            edges.append(b)
-        integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(F.pdf(v), dtype=float)
-        for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-            res = adaptive_quad(integrand, lo_e, hi_e)
-            value += res.value
-            err += res.error
-        if tail:
-            res = quad_to_inf(integrand, edges[-1])
-            value += res.value
-            err += res.error
+    ends = [e for seg in F.density_segments() for e in seg]
+    if ends:
+        integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
+            F.pdf(v), dtype=float)
+        value, err = adaptive_quad(integrand, min(ends), max(ends),
+                                   points=[*ends, *breakpoints])
     if F.atoms():
         locs, masses = np.array(F.atoms()).T
         value += float(masses @ np.asarray(g(locs), dtype=float))
@@ -77,33 +71,11 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
 
 def survival_integral(F: ValueDistribution, g: Callable, breakpoints=()):
     """int_0^vbar g(v) (1 - F(v)) dv.  Returns (value, error_estimate)."""
-    lo, hi = F.support
-    pts = {0.0, lo}
-    pts.update(p for p in breakpoints if 0 < p and (math.isinf(hi) or p < hi))
-    for a, b in F.density_segments():
-        pts.add(a)
-        if not math.isinf(b):
-            pts.add(b)
-    for loc, _ in F.atoms():
-        pts.add(loc)
-    tail = math.isinf(hi)
-    if not tail:
-        pts.add(hi)
-    edges = sorted(p for p in pts if not math.isinf(p))
-
+    pts = [F.support[0], *breakpoints, *(loc for loc, _ in F.atoms())]
+    pts += [e for seg in F.density_segments() for e in seg]
     integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
         F.sf(v), dtype=float)
-    value = 0.0
-    err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        res = adaptive_quad(integrand, a, b)
-        value += res.value
-        err += res.error
-    if tail:
-        res = quad_to_inf(integrand, edges[-1])
-        value += res.value
-        err += res.error
-    return value, err
+    return adaptive_quad(integrand, 0.0, F.support[1], points=pts)
 
 
 def efficient_surplus(F: ValueDistribution, cost) -> tuple:
@@ -176,6 +148,7 @@ class SurplusReport:
 def full_report(F: ValueDistribution, M: DirectMechanism, cost) -> SurplusReport:
     """Bundle (S, Pi, U) with normalized ratios and quadrature errors."""
     S, err_S = efficient_surplus(F, cost)
+    _require_positive_surplus(S)
     Pi, err_Pi = mechanism_profit(F, M, cost)
     U, err_U = consumer_surplus(F, M)
     slack = max(_FEASIBILITY_HEADROOM * (err_S + err_Pi + err_U),
@@ -208,10 +181,12 @@ def quantity_surplus_report(F: ValueDistribution, model, p_star: float) -> Surpl
     def u_of_v(v):
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
         return np.array([
-            quad_to_inf(lambda p: model.demand(x, p), p_star).value
+            adaptive_quad(lambda p: model.demand(x, p), p_star,
+                          math.inf).value
             for x in v_arr])
 
     S, err_S = expectation(F, s_of_v)
+    _require_positive_surplus(S)
     Pi, err_Pi = expectation(F, pi_of_v)
     U, err_U = expectation(F, u_of_v)
     return SurplusReport(S=S, Pi=Pi, U=U, pi_ratio=Pi / S, u_ratio=U / S,

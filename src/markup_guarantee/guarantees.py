@@ -17,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .distributions import Pareto, TruncatedPareto, ValueDistribution
-from .functionals import (efficient_surplus, full_report, mechanism_profit,
+from .functionals import (_require_positive_surplus, efficient_surplus,
+                          full_report, mechanism_profit,
                           quantity_surplus_report)
 from .mechanisms import constant_markup_mechanism, uniform_price_mechanism
 from .screening import bayes_optimal_mechanism
@@ -94,14 +95,19 @@ def guarantee_ratio(eta: float) -> float:
 
     Limits: 1/e as eta -> 1+, 1/4 at eta = 2, 0 as eta -> inf.
     """
-    if eta <= 1.0:
+    if not eta > 1.0:
         raise ValueError("cost elasticity must exceed 1")
+    if math.isinf(eta):
+        return 0.0
     return eta ** (-eta / (eta - 1.0))
 
 
 def consumer_share(eta: float) -> float:
-    """Consumer surplus share under the guarantee menu: eta^{-1/(eta-1)}."""
-    if eta <= 1.0:
+    """Consumer surplus share under the guarantee menu: eta^{-1/(eta-1)}.
+
+    Limits: 1/e as eta -> 1+, 1/2 at eta = 2, 1 as eta -> inf.
+    """
+    if not eta > 1.0:
         raise ValueError("cost elasticity must exceed 1")
     return eta ** (-1.0 / (eta - 1.0))
 
@@ -265,6 +271,7 @@ def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
     certs = []
     for F in distributions:
         S, _ = efficient_surplus(F, cost)
+        _require_positive_surplus(S)
         Pi, _ = mechanism_profit(F, markup.mechanism, cost)
         certs.append(GuaranteeCertificate(
             claim_id="convex_cost_guarantee",

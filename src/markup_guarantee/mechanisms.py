@@ -123,13 +123,8 @@ def envelope_transfer(Q, v, breakpoints=()):
     v = float(v)
     if v <= 0.0:
         return 0.0
-    pts = sorted({0.0, v} | {b for b in breakpoints if 0.0 < b < v})
-    integral = 0.0
-    err = 0.0
-    for a, b in zip(pts, pts[1:]):
-        res = adaptive_quad(lambda s: np.asarray(Q(s), dtype=float), a, b)
-        integral += res.value
-        err += res.error
+    integral = adaptive_quad(lambda s: np.asarray(Q(s), dtype=float), 0.0, v,
+                             points=breakpoints).value
     return v * float(np.asarray(Q(v))) - integral
 
 

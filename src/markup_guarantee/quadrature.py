@@ -1,18 +1,24 @@
 """Adaptive Gauss-Legendre quadrature for vectorized integrands.
 
-All integrands in this package are smooth on the panels they are given
-(piecewise boundaries are split off by the callers), so a nested
-Gauss-Legendre pair with bisection refinement converges quickly.  Unbounded
-upper limits are folded to a finite panel with the substitution u = 1/v,
-which turns Pareto-type tails into (at worst) mild endpoint power
-singularities that the open node set tolerates.
+Every integral in this package goes through `adaptive_quad`.  Callers name
+the values where the integrand is not smooth (density jumps, atoms, kinks
+of a menu) as `points`, and each piece between them is refined on its own,
+so no piece is starved by a wider one; on a smooth piece a nested
+Gauss-Legendre pair with bisection refinement converges quickly.  An
+infinite upper limit folds the tail beyond the last point to a finite panel
+with the substitution u = 1/v, which turns Pareto-type tails into (at
+worst) mild endpoint power singularities that the open node set tolerates.
+Breakpoints and the infinite limit are arguments of the integrator, as in
+QUADPACK's qagp and qagi (Piessens et al., 1983).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadResult", "adaptive_quad", "quad_to_inf"]
+__all__ = ["QuadratureError", "QuadResult", "adaptive_quad"]
 
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
@@ -60,19 +66,46 @@ def _panels(f, lo, hi):
     return est_hi, np.abs(est_hi - est_lo)
 
 
-def adaptive_quad(f, a, b, *, epsabs=1e-11, epsrel=1e-9, max_evals=1_000_000):
+def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
+                  max_evals=1_000_000):
     """Integrate a vectorized callable f over [a, b].
 
-    Returns a QuadResult (value, error_estimate).  Raises QuadratureError if
-    the budget runs out before the requested tolerance is met.
+    points: values where f is not smooth; each piece between consecutive
+    points in (a, b) is refined to the tolerance on its own, with its own
+    evaluation budget.  b may be inf: the tail beyond the last point is
+    folded by u = 1/v, so it must start at a positive value.
+
+    Returns a QuadResult (value, error_estimate) summed over the pieces.
+    Raises QuadratureError if a piece runs out of budget before the
+    requested tolerance is met; its value and error are that piece's.
     """
     a = float(a)
     b = float(b)
     if a == b:
         return QuadResult(0.0, 0.0)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("adaptive_quad requires finite limits; use quad_to_inf")
+    if not (math.isfinite(a) and (math.isfinite(b) or b == math.inf)):
+        raise ValueError("adaptive_quad needs a finite lower limit and a "
+                         "finite or +inf upper limit")
+    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
+    if b == math.inf and edges[-2] <= 0:
+        raise ValueError("an infinite upper limit needs a positive start for "
+                         "its tail: a positive a or a positive point")
+    value = 0.0
+    error = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        g = f
+        if hi == math.inf:
+            # int_lo^inf f(v) dv = int_0^{1/lo} f(1/u) / u^2 du
+            g = lambda u: np.asarray(f(1.0 / u), dtype=float) / (u * u)
+            lo, hi = 0.0, 1.0 / lo
+        piece_value, piece_error = _adapt(g, lo, hi, epsabs, epsrel, max_evals)
+        value += piece_value
+        error += piece_error
+    return QuadResult(value, error)
 
+
+def _adapt(f, a, b, epsabs, epsrel, max_evals):
+    """Adaptive bisection of one smooth piece [a, b]; returns (value, error)."""
     # geometric seeding keeps panel widths commensurate with position on
     # log-wide ranges (heavy-tail segments), where uniform bisection from a
     # single panel wastes most of its depth budget
@@ -120,22 +153,4 @@ def adaptive_quad(f, a, b, *, epsabs=1e-11, epsrel=1e-9, max_evals=1_000_000):
             mid = 0.5 * (lo + hi)
             lo = np.concatenate([lo, mid])
             hi = np.concatenate([mid, hi])
-    return QuadResult(done_value, done_error)
-
-
-def quad_to_inf(f, a, *, epsabs=1e-11, epsrel=1e-9, max_evals=1_000_000):
-    """Integrate f over [a, inf) via the substitution u = 1/v.
-
-    Requires a > 0; the transformed integrand is f(1/u)/u^2 on (0, 1/a].
-    """
-    a = float(a)
-    if a <= 0:
-        raise ValueError("quad_to_inf requires a positive lower limit")
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        v = 1.0 / u
-        return np.asarray(f(v), dtype=float) / (u * u)
-
-    return adaptive_quad(g, 0.0, 1.0 / a, epsabs=epsabs, epsrel=epsrel,
-                         max_evals=max_evals)
+    return done_value, done_error

@@ -428,18 +428,17 @@ def discretize(F: ValueDistribution, n_types: int) -> tuple:
     """
     edges = np.linspace(0.0, 1.0, n_types + 1)
     v_edges = np.asarray(F.quantile(np.clip(edges, 1e-12, 1.0 - 1e-12)), dtype=float)
+    ends = [e for seg in F.density_segments() for e in seg]
     values = []
     for a, b in zip(v_edges[:-1], v_edges[1:]):
         if b <= a:
             values.append(a)
             continue
-        num = adaptive_quad(lambda v: np.asarray(v) * F.pdf(v), a, b).value
-        den = adaptive_quad(lambda v: np.asarray(F.pdf(v), dtype=float), a, b).value
-        # fold any atom mass in the bin into the conditional mean
-        for loc, mass in F.atoms():
-            if a < loc <= b:
-                num += mass * loc
-                den += mass
+        num = adaptive_quad(lambda v: np.asarray(v) * F.pdf(v), a, b,
+                            points=ends).value
+        # the bin holds the atoms in (a, b], as its mass F(b) - F(a) does
+        num += sum(mass * loc for loc, mass in F.atoms() if a < loc <= b)
+        den = float(F.cdf(b) - F.cdf(a))
         values.append(num / den if den > 0 else 0.5 * (a + b))
     masses = np.full(n_types, 1.0 / n_types)
     return tuple(values), tuple(masses)

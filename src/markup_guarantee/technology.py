@@ -7,12 +7,13 @@ utilities with linear production cost normalized to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import quad_to_inf
+from .quadrature import adaptive_quad
 
 __all__ = [
     "CostValidationError",
@@ -317,7 +318,7 @@ class NonlinearDemandModel:
 
     def surplus_per_value(self, v):
         """Efficient surplus for type v: integral of demand above cost."""
-        return quad_to_inf(lambda p: self.demand(v, p), 1.0).value
+        return adaptive_quad(lambda p: self.demand(v, p), 1.0, math.inf).value
 
 
 def demand(model, v, p):

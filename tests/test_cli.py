@@ -134,6 +134,10 @@ class TestProcure:
     def test_bad_eta(self):
         assert run(["procure", "--side", "quality", "--eta", "0.5"]) == 2
 
+    def test_eta_bar_option_is_gone(self, capsys):
+        assert run(["procure", "--side", "quantity", "--eta-bar", "-2"]) == 2
+        assert "--eta-bar" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_roundtrip(self, tmp_path):
@@ -168,3 +172,28 @@ class TestSweep:
             "battery": [spec]})
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+_POINT_MASS_0 = {"kind": "point_mass", "v0": 0.0}
+_UNDERFLOW = {"kind": "uniform", "a": 0.0, "b": 1e-300}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["sweep"], {"eta": 2.0, "mechanism": "bayes_optimal",
+                 "battery": [_POINT_MASS_0]}),
+    (["sweep"], {"eta": 2.0, "mechanism": "guarantee",
+                 "battery": [_POINT_MASS_0]}),
+    (["sweep"], {"eta": 2.0, "mechanism": "bayes_optimal",
+                 "battery": [_UNDERFLOW]}),
+    (["guarantee", "--eta", "2"], {"battery": [_POINT_MASS_0]}),
+    (["verify"], {"scenario": "convex_cost",
+                  "cost": {"kind": "poly_cost",
+                           "coeffs": [0.0, 0.0, 0.5, 0.0, 0.25],
+                           "eta_bar": 4.0},
+                  "battery": [_POINT_MASS_0]}),
+], ids=["sweep-bayes", "sweep-guarantee", "sweep-underflow", "guarantee",
+        "verify-convex-cost"])
+def test_zero_surplus_is_config_error(tmp_path, capsys, argv, cfg):
+    path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
+    assert run([*argv, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "efficient surplus" in capsys.readouterr().err

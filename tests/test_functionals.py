@@ -127,6 +127,12 @@ class TestProfitAndSurplus:
             full_report(Uniform(0.0, 1.0), guarantee_mechanism(2.0),
                         FreeLunchCost(eta=2.0))
 
+    @pytest.mark.parametrize("F", [PointMass(0.0), Uniform(0.0, 1e-300)],
+                             ids=["point-mass-0", "underflow"])
+    def test_zero_surplus_rejected(self, F):
+        with pytest.raises(ValueError, match="efficient surplus"):
+            full_report(F, guarantee_mechanism(2.0), IsoElasticCost(eta=2.0))
+
     def test_report_serialization(self):
         rep = full_report(Uniform(0.0, 1.0), guarantee_mechanism(2.0),
                           IsoElasticCost(eta=2.0))
@@ -143,6 +149,11 @@ class TestQuantityReport:
         for F in (Uniform(0.5, 2.0), PointMass(1.0), Binary(1.0, 2.0, 0.3)):
             rep = quantity_surplus_report(F, model, p_star=2.0)
             assert rep.pi_ratio == pytest.approx(0.25, abs=1e-9)
+
+    def test_zero_surplus_rejected(self):
+        model = SeparableQuantityUtility(eta=-2.0)
+        with pytest.raises(ValueError, match="efficient surplus"):
+            quantity_surplus_report(PointMass(0.0), model, p_star=2.0)
 
     def test_pointmass_hand_values(self):
         # v=1, eta=-2: S = 1, D(1,2) = 1/4, Pi = 1/4; U = int_2^inf p^-2 = 1/2

@@ -55,6 +55,22 @@ class TestClosedForms:
             with pytest.raises(ValueError):
                 fn(1.0)
 
+    @pytest.mark.parametrize("fn, eta, expected", [
+        (guarantee_ratio, math.inf, 0.0),
+        (consumer_share, math.inf, 1.0),
+        (guarantee_ratio, math.nan, ValueError),
+        (consumer_share, math.nan, ValueError),
+        (guarantee_ratio, -math.inf, ValueError),
+        (consumer_share, -math.inf, ValueError),
+    ], ids=["ratio-inf", "share-inf", "ratio-nan", "share-nan",
+            "ratio-neg-inf", "share-neg-inf"])
+    def test_non_finite_eta(self, fn, eta, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                fn(eta)
+        else:
+            assert fn(eta) == expected
+
 
 class TestFrontier:
     def test_endpoints_eta2(self):
@@ -180,6 +196,11 @@ class TestConvexCost:
         certs = verify_convex_cost_guarantee(
             cost, [Uniform(0.0, 1.0), PointMass(1.0)])
         assert all(c.passed for c in certs)
+
+    def test_zero_surplus_rejected(self):
+        cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
+        with pytest.raises(ValueError, match="efficient surplus"):
+            verify_convex_cost_guarantee(cost, [PointMass(0.0)])
 
 
 class TestQuantityAndProcurement:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markup_guarantee.quadrature import (QuadratureError, adaptive_quad,
-                                         quad_to_inf)
+from markup_guarantee.quadrature import QuadratureError, adaptive_quad
 
 
 def test_polynomial_exact():
@@ -38,13 +37,46 @@ def test_endpoint_singularity():
 
 def test_tail_pareto():
     # int_1^inf v^{-2} dv = 1
-    res = quad_to_inf(lambda v: np.asarray(v, dtype=float) ** -2, 1.0)
+    res = adaptive_quad(lambda v: np.asarray(v, dtype=float) ** -2, 1.0,
+                        math.inf)
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_tail_requires_positive_start():
     with pytest.raises(ValueError):
-        quad_to_inf(lambda v: v, 0.0)
+        adaptive_quad(lambda v: v, 0.0, math.inf, points=(-1.0, 0.0))
+
+
+def test_step_split_at_its_jump_is_exact():
+    # a constant on each piece: both rules are exact on the first pass
+    seen = []
+
+    def step(x):
+        x = np.asarray(x, dtype=float)
+        seen.append(x.size)
+        return np.where(x < 1.0 / 3.0, 1.0, 2.0)
+
+    res = adaptive_quad(step, 0.0, 1.0, points=(1.0 / 3.0,))
+    assert res.value == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert res.error <= 1e-15
+    assert sum(seen) == 2 * 31
+
+
+def test_points_outside_the_range_are_ignored():
+    f = lambda x: 3 * np.asarray(x) ** 2
+    res = adaptive_quad(f, 0.0, 2.0, points=(-1.0, 0.0, 2.0, 5.0, math.nan))
+    assert res == adaptive_quad(f, 0.0, 2.0)
+
+
+def test_tail_starts_from_the_last_point():
+    # 1 on [0, 1), v^-2 beyond: the tail is folded from 1, not from 0
+    f = lambda v: np.where(np.asarray(v) < 1.0, 1.0,
+                           np.asarray(v, dtype=float) ** -2)
+    res = adaptive_quad(f, 0.0, math.inf, points=(1.0,))
+    assert res.value == pytest.approx(2.0, rel=1e-12)
+    # the tail starts at the last point, 3: 1/2 + 2/3 + 1/3
+    res = adaptive_quad(f, 0.5, math.inf, points=(3.0, 1.0))
+    assert res.value == pytest.approx(1.5, rel=1e-9)
 
 
 def test_infinite_limits_rejected():

@@ -368,6 +368,27 @@ def test_discretize_preserves_mean():
     assert mean == pytest.approx(F.power_moment(1.0), rel=1e-3)
 
 
+def test_discretize_splits_bins_at_density_jumps():
+    # the density jumps where each uniform component ends; the bin means
+    # are checked against scipy with the jumps as points
+    from scipy.integrate import quad
+    F = Mixture((Uniform(0, 2.09832845016647), Power(3.872848054957398),
+                 Uniform(0, 1.7055309704983412)),
+                (0.38315019488531304, 0.546797758968425, 0.07005204614626195))
+    jumps = (1.0, 1.7055309704983412)
+    n = 13
+    values, masses = discretize(F, n)
+    edges = F.quantile(np.clip(np.linspace(0.0, 1.0, n + 1), 1e-12,
+                               1.0 - 1e-12))
+    for value, a, b in zip(values, edges[:-1], edges[1:]):
+        pts = [p for p in jumps if a < p < b]
+        kw = dict(points=pts or None, epsabs=1e-14, epsrel=1e-13, limit=200)
+        num = quad(lambda v: v * float(F.pdf(v)), a, b, **kw)[0]
+        den = quad(lambda v: float(F.pdf(v)), a, b, **kw)[0]
+        assert value == pytest.approx(num / den, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(masses, 1.0 / n)
+
+
 def _pooled(values, masses):
     """Pool-adjacent-violators on the adjacent-IC virtual values: the
     mass-weighted isotonic fit, an oracle for ironing atomic laws."""

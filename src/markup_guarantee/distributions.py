@@ -30,6 +30,13 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 
+# Mixture.quantile's probes, in probe spacings from the centre: around the
+# interpolated first iterate, around a Newton iterate, and evenly across a
+# bracket being split
+_FIRST_PROBES = np.array([[-1, 0, 1]])
+_NEWTON_PROBES = np.array([-8, -2, -1, 0, 1, 2, 8])
+_SPLIT_PROBES = np.arange(-3, 4)
+
 
 def _finite(*params):
     """Reject NaN and infinite parameters when a law is built."""
@@ -448,22 +455,110 @@ class Mixture(ValueDistribution):
         return tuple((a, b) for a, b in zip(ends, ends[1:])
                      if any(lo <= a and b <= hi for lo, hi in segs))
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def quantile(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        """Generalised inverse: the float x with F(x-) < u <= F(x), x- being
+        the float below x; the bottom of the support where u <= F there,
+        and the top where u exceeds F there.
+
+        Bracket.  One vectorised CDF call on a table of points: each
+        component's own quantile at u and, where u < w, at u/w for its
+        weight w (where it alone would reach u), the support and
+        density-segment ends, and each atom with the float below it.  A
+        search in the table brackets every query between neighbours
+        lo < hi with F(lo) < u <= F(hi); a query inside an atom's jump is
+        answered there.  The first iterate interpolates linearly between
+        them.
+
+        Newton steps.  Each pass evaluates F at the iterate and at probes
+        around it (1 float either side on the first pass; then 1, 2 and 8
+        spacings), and takes the two neighbouring points that straddle u
+        as the new bracket.  The next iterate is x - (F(x) - u)/f(x).  A
+        spacing is one float, or a quarter of the run of floats over which
+        F moves by one rounding of u, ulp(u)/(f ulp(x)), if that is longer:
+        in a heavy tail, or near u = 0 where f is infinite, Newton cannot
+        place x more finely.  An iterate more than 16 floats outside the
+        bracket (f = 0, say), or a spacing of an eighth of the bracket or
+        more, gives way to seven probes spread evenly over the bracket,
+        counted in floats.
+
+        Stopping.  A query stops when its bracket ends are adjacent floats,
+        and returns the upper one.  Every pass shrinks every open bracket;
+        on a smooth stretch two or three passes end it.
+        """
+        shape = np.shape(u)
+        u = np.ravel(np.asarray(u, dtype=float))
+        table, FT = self._quantile_table(u)
+        j = np.searchsorted(FT, u, side="left")
+        out = table[np.minimum(j, table.size - 1)]
+        run = np.flatnonzero((j > 0) & (j < table.size))
+        j = j[run]
+        lo, hi, uu = table[j - 1], table[j], u[run]
+        x = lo + (uu - FT[j - 1]) * ((hi - lo) / (FT[j] - FT[j - 1]))
+        offsets, flat = _FIRST_PROBES, None
+        while run.size:
+            # floats >= 0 are ordered as their bit patterns, adjacent ones
+            # 1 apart; the open bracket holds the floats in1..in2
+            blo, bhi = lo.view(np.int64), hi.view(np.int64)
+            in1, in2 = blo + 1, bhi - 1
+            width = bhi - blo
+            # as bit patterns, NaN and negative iterates fall outside
+            bx = x.view(np.int64)
+            newton = (bx >= blo - 16) & (bx <= bhi + 16)
+            centre = np.where(newton, np.minimum(np.maximum(bx, in1), in2),
+                              blo + width // 2)
+            if flat is not None:
+                split = (width + 7) // 8
+                near = newton & (flat < split)
+                step = np.maximum(np.where(near, flat, split), 1)
+                offsets = step.astype(np.int64)[:, None] * np.where(
+                    near[:, None], _NEWTON_PROBES, _SPLIT_PROBES)
+            # the bracket ends flank the probes; the first point at or above
+            # u and the one before it are the new ends (an adjacent pair
+            # probes its lower end again, and stays)
+            pts = np.empty((run.size, offsets.shape[1] + 2), dtype=np.int64)
+            pts[:, 0], pts[:, -1] = blo, bhi
+            pts[:, 1:-1] = np.minimum(np.maximum(
+                centre[:, None] + offsets, in1[:, None]), in2[:, None])
+            pts = pts.view(float)
+            Fp = np.asarray(self.cdf(pts[:, 1:-1].ravel()),
+                            dtype=float).reshape(run.size, -1)
+            below = np.ones(pts.shape, dtype=bool)
+            below[:, -1] = False
+            below[:, 1:-1] = Fp < uu[:, None]
+            k = np.argmin(below, axis=1)
+            rows = np.arange(run.size)
+            lo, hi = pts[rows, k - 1], pts[rows, k]
+            out[run] = hi
+            keep = hi.view(np.int64) - lo.view(np.int64) > 1
+            Fc = Fp[keep, offsets.shape[1] // 2]
+            run, lo, hi, uu, centre = (
+                a[keep] for a in (run, lo, hi, uu, centre))
+            if not run.size:
+                break
+            xc = centre.view(float)
+            f = np.asarray(self.pdf(xc), dtype=float)
+            flat = np.floor(np.spacing(uu) / (4.0 * f * np.spacing(xc)))
+            x = xc - (Fc - uu) / f
+        return np.atleast_1d(out.reshape(shape))
+
+    def _quantile_table(self, u):
+        """Sorted points that bracket Q(u), and the running maximum of F on
+        them (so that a search in it never sees rounding noise)."""
         lo_s, hi_s = self.support
-        if math.isinf(hi_s):
-            # expand an upper bracket per query
-            hi_s = max(2.0, lo_s + 1.0)
-            while float(np.min(self.cdf(hi_s))) < float(np.max(u)):
-                hi_s *= 2.0
-        lo = np.full_like(u, lo_s)
-        hi = np.full_like(u, hi_s)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        pts = [lo_s, hi_s, *(e for seg in self.density_segments() for e in seg)]
+        for loc, _ in self.atoms():
+            pts += [loc, math.nextafter(loc, -math.inf)]
+        table = [np.array(pts)]
+        for w, c in zip(self.weights, self.components):
+            table.append(np.asarray(c.quantile(u), dtype=float))
+            if 0.0 < w < 1.0:
+                table.append(np.asarray(c.quantile(u[u < w] / w), dtype=float))
+        table = np.concatenate(table)
+        # + 0.0 turns -0.0 into 0.0, whose bit pattern orders correctly
+        table = np.sort(np.clip(table[~np.isnan(table)], lo_s, hi_s)) + 0.0
+        return table, np.maximum.accumulate(
+            np.asarray(self.cdf(table), dtype=float))
 
     def tail_condition(self, eta):
         return all(c.tail_condition(eta) for c in self.components)

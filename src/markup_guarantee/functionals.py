@@ -1,8 +1,8 @@
 """Surplus functionals: efficient surplus, mechanism profit, consumer surplus.
 
 Expectations are split into the absolutely continuous part (one adaptive
-quadrature over the density segments, split at their ends and at the
-menu's breakpoints, with the tail folded by u = 1/v) and the atom sum,
+quadrature per run of touching density segments, split at their ends and
+at the menu's breakpoints, with the tail folded by u = 1/v) and the atom sum,
 which is added exactly.  Profit follows
     Pi = E[v Q(v) - c(Q(v))] - int_0^vbar Q(v) (1 - F(v)) dv
 and consumer surplus is the second integral alone.
@@ -53,16 +53,26 @@ def _require_positive_surplus(S):
 def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
     """E[g(v)] = integral of g f over the density segments + atom sum.
 
-    Returns (value, error_estimate).
+    Segments that touch are integrated in one call; the gaps between runs
+    of them, where g f is 0, are skipped.  Returns (value, error_estimate).
     """
     value = 0.0
     err = 0.0
-    ends = [e for seg in F.density_segments() for e in seg]
-    if ends:
-        integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
-            F.pdf(v), dtype=float)
-        value, err = adaptive_quad(integrand, min(ends), max(ends),
-                                   points=[*ends, *breakpoints])
+    segments = sorted(F.density_segments())
+    ends = [e for seg in segments for e in seg]
+    runs = []
+    for a, b in segments:
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
+        F.pdf(v), dtype=float)
+    for a, b in runs:
+        run_value, run_err = adaptive_quad(integrand, a, b,
+                                           points=[*ends, *breakpoints])
+        value += run_value
+        err += run_err
     if F.atoms():
         locs, masses = np.array(F.atoms()).T
         value += float(masses @ np.asarray(g(locs), dtype=float))
@@ -91,9 +101,16 @@ def efficient_surplus(F: ValueDistribution, cost) -> tuple:
                 "tail condition fails at this elasticity: S_F = inf "
                 "(at the boundary shape, pass an explicit truncation k)")
         r = eta / (eta - 1.0)
-        moment = F.power_moment(r)
-        if math.isinf(moment):
-            raise InfiniteSurplusError("E[v^{eta/(eta-1)}] diverges")
+        try:
+            moment = F.power_moment(r)
+        except OverflowError:
+            moment = math.inf
+        if not math.isfinite(moment):
+            # the tail condition holds, so the moment is finite: it is past
+            # the largest float64, and so is S
+            raise ValueError(
+                f"efficient surplus overflows float64: E[v^{r:.6g}] at "
+                f"eta = {eta!r} is past the largest float")
         return ((eta - 1.0) / eta) * moment, 0.0
 
     # general convex cost: per-value surplus via the efficient quality

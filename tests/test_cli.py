@@ -197,3 +197,15 @@ def test_zero_surplus_is_config_error(tmp_path, capsys, argv, cfg):
     path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
     assert run([*argv, "--config", path, "--out", str(tmp_path)]) == 2
     assert "efficient surplus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mechanism", ["guarantee", "bayes_optimal"])
+def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
+    # at eta = 1.0001, S holds k^(r - alpha) = 1e6^9999.5: finite, but not a
+    # float64
+    path = write_cfg(tmp_path, "c.json", {
+        "version": 1, "eta": 1.0001, "mechanism": mechanism,
+        "battery": [{"kind": "truncated_pareto", "alpha": 1.5, "k": 1e6}]})
+    assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "overflows float64" in err

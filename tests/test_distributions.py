@@ -171,3 +171,132 @@ def test_sampling_matches_cdf():
 def test_pareto_quantile_round_trip(alpha, u):
     F = Pareto(alpha)
     assert float(F.cdf(F.quantile(u))) == pytest.approx(u, abs=1e-9)
+
+
+# --- Mixture.quantile -------------------------------------------------------
+
+def _acceptance_family(n, seed=20260823):
+    """Mixtures of 1-3 Uniform(0, b) and Power(alpha) components, drawn as
+    the acceptance battery draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        comps = [Uniform(0.0, float(rng.uniform(0.5, 3.0)))
+                 if rng.uniform() < 0.5
+                 else Power(alpha=float(rng.uniform(0.5, 4.0)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        w = rng.dirichlet(np.ones(len(comps)))
+        out.append(Mixture(components=tuple(comps), weights=tuple(w.tolist())))
+    return out
+
+
+def _grid(n=2000):
+    """The quantile levels `iron` asks for at n_grid = n."""
+    eps = 1e-6 / n
+    return np.linspace(eps, 1.0 - eps, n)
+
+
+def _ulps(x, y):
+    """Distance in floats between arrays of nonnegative floats."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.abs(x.view(np.int64) - y.view(np.int64))
+
+
+def _assert_generalised_inverse(F, u, x):
+    """F(x) >= u, and F of the float below x is < u, unless x is the bottom
+    of the support."""
+    assert np.all(np.asarray(F.cdf(x)) >= u)
+    below = np.asarray(F.cdf(np.nextafter(x, -np.inf)))
+    assert np.all((below < u) | (x == F.support[0]))
+
+
+_QUANTILE_LAWS = [
+    *_acceptance_family(12),
+    Mixture((Uniform(0.0, 1.0), Uniform(2.0, 3.0)), (0.5, 0.5)),
+    Mixture((Pareto(1.5), Uniform(0.0, 2.0)), (0.5, 0.5)),
+    Mixture((TruncatedPareto(2.0, 100.0), Power(0.55)), (0.7, 0.3)),
+    Mixture((Binary(1.0, 2.0, 0.3), Uniform(0.0, 3.0)), (0.5, 0.5)),
+    Mixture((Mixture((Uniform(0.0, 1.0), Power(3.0)), (0.4, 0.6)),
+             Pareto(3.0)), (0.3, 0.7)),
+]
+
+
+@pytest.mark.parametrize("F", _QUANTILE_LAWS, ids=range(len(_QUANTILE_LAWS)))
+def test_mixture_quantile_is_minimal(F):
+    u = np.concatenate([_grid(), np.random.default_rng(3).uniform(size=200)])
+    _assert_generalised_inverse(F, u, F.quantile(u))
+
+
+def _bisected_quantile(F, u):
+    """Reference: bisection on float bit patterns from the support's ends
+    down to adjacent floats lo < hi with F(lo) < u <= F(hi)."""
+    lo, hi = (np.full(np.shape(u), e).view(np.int64) for e in F.support)
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        below = F.cdf(mid.view(float)) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi.view(float)
+
+
+@pytest.mark.parametrize("F", _acceptance_family(12), ids=range(12))
+def test_mixture_quantile_matches_bisection(F):
+    u = _grid()
+    assert np.array_equal(F.quantile(u), _bisected_quantile(F, u))
+
+
+@pytest.mark.parametrize("C", [Uniform(0.5, 2.5), Power(0.55), Power(3.0),
+                               Pareto(1.5), TruncatedPareto(2.0, 50.0)],
+                         ids=lambda C: C.to_spec()["kind"])
+def test_single_component_mixture_matches_closed_form(C):
+    # above u = 0.9 a heavy tail's F stays flat over many floats, and below
+    # u = 1e-3 the closed form's power is off by about |ln u| floats, so
+    # there the two inverses may differ by more than a few floats
+    u = np.linspace(1e-3, 0.9, 2000)
+    assert np.max(_ulps(Mixture((C,), (1.0,)).quantile(u), C.quantile(u))) <= 4
+
+
+def test_quantile_inside_an_atom_is_the_atom():
+    # F jumps by 0.35 at 1 and by 0.5 * 0.4 at 2
+    F = Mixture((Binary(1.0, 2.0, 0.4), Uniform(0.0, 3.0)), (0.5, 0.5))
+    for loc in (1.0, 2.0):
+        lo, hi = float(F.cdf(np.nextafter(loc, 0.0))), float(F.cdf(loc))
+        u = np.linspace(lo, hi, 9)[1:]
+        assert np.all(F.quantile(u) == loc)
+
+
+def test_nested_mixture_quantile():
+    inner = Mixture((Uniform(0.0, 1.0), Power(3.0)), (0.4, 0.6))
+    nested = Mixture((inner, Pareto(3.0)), (0.3, 0.7))
+    flat = Mixture((Uniform(0.0, 1.0), Power(3.0), Pareto(3.0)),
+                   (0.12, 0.18, 0.7))
+    u = _grid()
+    x = nested.quantile(u)
+    _assert_generalised_inverse(nested, u, x)
+    np.testing.assert_allclose(x, flat.quantile(u), rtol=1e-14)
+
+
+def test_quantile_near_zero_with_infinite_density():
+    # F(x) = x^0.55 reaches 5e-10 at x ~ 1.5e-17, where f ~ 2e7
+    C = Power(0.55)
+    x = Mixture((C,), (1.0,)).quantile(5e-10)
+    _assert_generalised_inverse(Mixture((C,), (1.0,)), 5e-10, x)
+    assert float(x[0]) == pytest.approx(float(C.quantile(5e-10)), rel=1e-14)
+
+
+def test_quantile_calls_per_grid(monkeypatch):
+    # each of cdf and pdf is a full pass over the mixture's components
+    calls = []
+    for name in ("cdf", "pdf"):
+        method = getattr(Mixture, name)
+
+        def counted(self, v, method=method):
+            calls.append(1)
+            return method(self, v)
+
+        monkeypatch.setattr(Mixture, name, counted)
+    worst = 0
+    for F in _acceptance_family(60):
+        calls.clear()
+        F.quantile(_grid())
+        worst = max(worst, len(calls))
+    assert worst <= 16

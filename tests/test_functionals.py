@@ -108,6 +108,45 @@ class TestProfitAndSurplus:
         assert abs(rep.pi_ratio - 0.25) < 1e-12
         assert abs(rep.u_ratio - 0.5) < 1e-12
 
+    def test_expectation_skips_density_gaps(self, monkeypatch):
+        # the density is 0 on the gap (1, 2): E[.] never evaluates there,
+        # and a report costs 8 first passes of 31 points (9 with the gap)
+        import markup_guarantee.functionals as fn
+        from markup_guarantee.screening import bayes_optimal_mechanism
+        F = Mixture((Uniform(0.0, 1.0), Uniform(2.0, 3.0)), (0.5, 0.5))
+        seen = []
+
+        def g(v):
+            seen.append(np.asarray(v, dtype=float).copy())
+            return np.asarray(v, dtype=float) ** 2
+
+        value, _ = expectation(F, g)
+        assert value == pytest.approx(10.0 / 3.0, abs=1e-12)
+        seen = np.concatenate(seen)
+        assert not np.any((seen > 1.0) & (seen < 2.0))
+
+        evals = []
+        quad = fn.adaptive_quad
+
+        def counting_quad(f, a, b, **kw):
+            def counted(v):
+                evals.append(np.size(v))
+                return f(v)
+            return quad(counted, a, b, **kw)
+
+        monkeypatch.setattr(fn, "adaptive_quad", counting_quad)
+        cost = IsoElasticCost(eta=2.0)
+        # S = 5/3; the Bayes menu serves v in [2, 3] with Q = 2v - 3, so
+        # Pi = 13/12 and U = 5/12
+        for M, pi, u in ((guarantee_mechanism(2.0), 0.25, 0.5),
+                         (bayes_optimal_mechanism(F, cost, n_grid=2000),
+                          0.65, 0.25)):
+            evals.clear()
+            rep = full_report(F, M, cost)
+            assert sum(evals) == 248
+            assert abs(rep.pi_ratio - pi) < 1e-12
+            assert abs(rep.u_ratio - u) < 1e-12
+
     def test_full_report_ratios(self):
         rep = full_report(Uniform(0.0, 1.0), guarantee_mechanism(2.0),
                           IsoElasticCost(eta=2.0))

@@ -5,7 +5,8 @@ quadrature per run of touching density segments, split at their ends and
 at the menu's breakpoints, with the tail folded by u = 1/v) and the atom sum,
 which is added exactly.  Profit follows
     Pi = E[v Q(v) - c(Q(v))] - int_0^vbar Q(v) (1 - F(v)) dv
-and consumer surplus is the second integral alone.
+and consumer surplus U is the second integral alone; `full_report`
+computes U once and passes it to `mechanism_profit`.
 """
 
 from __future__ import annotations
@@ -122,16 +123,21 @@ def efficient_surplus(F: ValueDistribution, cost) -> tuple:
     return expectation(F, s_of_v)
 
 
-def mechanism_profit(F: ValueDistribution, M: DirectMechanism, cost) -> tuple:
-    """Expected profit of menu M against F.  Returns (value, error)."""
+def mechanism_profit(F: ValueDistribution, M: DirectMechanism, cost, *,
+                     rent=None) -> tuple:
+    """Expected profit Pi = E[v Q(v) - c(Q(v))] - U of menu M against F.
+
+    rent: the (value, error) pair `consumer_surplus(F, M)` returns, when
+    the caller has it; computed here when None.  Returns (value, error).
+    """
     def margin(v):
         v_arr = np.asarray(v, dtype=float)
         q = np.asarray(M.Q(v_arr), dtype=float)
         return v_arr * q - np.asarray(cost.c(q), dtype=float)
 
     first, e1 = expectation(F, margin, breakpoints=M.breakpoints)
-    second, e2 = survival_integral(F, M.Q, breakpoints=M.breakpoints)
-    return first - second, e1 + e2
+    U, e2 = consumer_surplus(F, M) if rent is None else rent
+    return first - U, e1 + e2
 
 
 def consumer_surplus(F: ValueDistribution, M: DirectMechanism) -> tuple:
@@ -166,8 +172,8 @@ def full_report(F: ValueDistribution, M: DirectMechanism, cost) -> SurplusReport
     """Bundle (S, Pi, U) with normalized ratios and quadrature errors."""
     S, err_S = efficient_surplus(F, cost)
     _require_positive_surplus(S)
-    Pi, err_Pi = mechanism_profit(F, M, cost)
     U, err_U = consumer_surplus(F, M)
+    Pi, err_Pi = mechanism_profit(F, M, cost, rent=(U, err_U))
     slack = max(_FEASIBILITY_HEADROOM * (err_S + err_Pi + err_U),
                 _FEASIBILITY_FLOOR * max(1.0, S))
     if Pi + U > S + slack:

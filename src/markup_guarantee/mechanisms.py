@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .quadrature import adaptive_quad
-from .technology import IsoElasticCost, _monotone_root
+from .technology import IsoElasticCost, _monotone_root, _positive_root
 
 __all__ = [
     "DirectMechanism",
@@ -137,24 +137,27 @@ def marginal_price(M: DirectMechanism, q_grid=None, v_hi=None) -> IndirectTariff
     """
     def p(q):
         q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty_like(q_arr)
-        for i, qq in enumerate(q_arr):
-            if qq <= 0:
-                out[i] = 0.0
-                continue
-            g = lambda v: float(np.asarray(M.Q(v)))
+        out = np.zeros_like(q_arr)
+        pos = ~(q_arr <= 0)
+        if pos.any():
+            qq = q_arr[pos]
+            g = lambda v: np.asarray(M.Q(v), dtype=float)
             v = _monotone_root(g, qq, lo=0.0, hi=v_hi)
-            if abs(g(v) - qq) > 1e-6 * max(1.0, qq):
-                raise ValueError(
-                    f"no type is allocated q={qq:g}; the menu jumps past it "
-                    "(quantity gap)")
+            gap = np.abs(g(v) - qq) > 1e-6 * np.maximum(1.0, qq)
             # detect flat segments: Q must actually move near v
-            h = max(1e-8, 1e-8 * v)
-            if g(v + h) - g(max(v - h, 0.0)) <= 0.0:
+            h = np.maximum(1e-8, 1e-8 * v)
+            flat = g(v + h) - g(np.maximum(v - h, 0.0)) <= 0.0
+            bad = np.flatnonzero(gap | flat)
+            if bad.size:
+                i = bad[0]
+                if gap[i]:
+                    raise ValueError(
+                        f"no type is allocated q={qq[i]:g}; the menu jumps "
+                        "past it (quantity gap)")
                 raise ValueError(
-                    f"allocation is flat near q={qq:g}; the tariff has a "
+                    f"allocation is flat near q={qq[i]:g}; the tariff has a "
                     "quantity gap there")
-            out[i] = v
+            out[pos] = v
         return out if np.ndim(q) else float(out[0])
 
     def P(q):
@@ -188,12 +191,8 @@ def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
             return (z * np.maximum(v, 0.0)) ** p
     else:
         def Q(v):
-            v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-            out = np.array([
-                0.0 if x <= 0 else _monotone_root(cost.c_prime, z * x,
-                                                  g_prime=cost.c_double_prime)
-                for x in v_arr])
-            return out if np.ndim(v) else float(out[0])
+            return _positive_root(cost.c_prime, z * np.asarray(v, dtype=float),
+                                  cost.c_double_prime)
 
     mech = DirectMechanism(Q=Q, label=f"constant_markup(z={z:g})")
     return MarkupMechanism(z=z, mechanism=mech)

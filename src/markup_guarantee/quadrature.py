@@ -1,10 +1,12 @@
-"""Adaptive Gauss-Legendre quadrature for vectorized integrands.
+"""Adaptive Gauss-Kronrod quadrature for vectorized integrands.
 
 Every integral in this package goes through `adaptive_quad`.  Callers name
 the values where the integrand is not smooth (density jumps, atoms, kinks
 of a menu) as `points`, and each piece between them is refined on its own,
-so no piece is starved by a wider one; on a smooth piece a nested
-Gauss-Legendre pair with bisection refinement converges quickly.  An
+so no piece is starved by a wider one.  A panel costs one integrand call on
+the 21 nodes of the 10/21 Gauss-Kronrod pair: the Kronrod sum is the
+estimate and its distance from the 10-point Gauss sum on the same values
+is the error; panels that miss their share of the tolerance are bisected.  An
 infinite upper limit folds the tail beyond the last point to a finite panel
 with the substitution u = 1/v, which turns Pareto-type tails into (at
 worst) mild endpoint power singularities that the open node set tolerates.
@@ -20,8 +22,56 @@ import numpy as np
 
 __all__ = ["QuadratureError", "QuadResult", "adaptive_quad"]
 
-_LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
+# QUADPACK's qk21 table (Piessens et al., 1983): the 21-point Kronrod
+# extension of the 10-point Gauss rule, abscissae from the right end to the
+# centre.  Every second abscissa, 0.9739..., is a Gauss node.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980803360,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _kronrod_table():
+    """The 21 nodes on [-1, 1] in increasing order, their Kronrod weights,
+    and the Gauss weights on the same nodes (0 at the Kronrod-only ones)."""
+    x = np.array(_XGK)
+    wk = np.array(_WGK)
+    wg = np.zeros(11)
+    wg[1::2] = _WG
+    return (np.concatenate([-x, x[-2::-1]]), np.concatenate([wk, wk[-2::-1]]),
+            np.concatenate([wg, wg[-2::-1]]))
+
+
+_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = _kronrod_table()
 
 
 class QuadratureError(RuntimeError):
@@ -51,19 +101,18 @@ class QuadResult(tuple):
 
 
 def _panels(f, lo, hi):
-    """Evaluate the nested rule on a batch of panels.
+    """Evaluate the 10/21 Gauss-Kronrod pair on a batch of panels.
 
-    lo, hi: 1-d arrays of panel endpoints. Returns (estimate, error) arrays.
+    lo, hi: 1-d arrays of panel endpoints.  One call of f on the 21 nodes
+    of every panel; returns the Kronrod estimates and |K21 - G10|.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x_hi = mid[:, None] + half[:, None] * _HI_NODES
-    v_hi = np.asarray(f(x_hi.ravel()), dtype=float).reshape(x_hi.shape)
-    est_hi = (v_hi * _HI_WEIGHTS).sum(axis=1) * half
-    x_lo = mid[:, None] + half[:, None] * _LO_NODES
-    v_lo = np.asarray(f(x_lo.ravel()), dtype=float).reshape(x_lo.shape)
-    est_lo = (v_lo * _LO_WEIGHTS).sum(axis=1) * half
-    return est_hi, np.abs(est_hi - est_lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    v = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    est_k = (v * _KRONROD_WEIGHTS).sum(axis=1) * half
+    est_g = (v * _GAUSS_WEIGHTS).sum(axis=1) * half
+    return est_k, np.abs(est_k - est_g)
 
 
 def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
@@ -122,7 +171,7 @@ def _adapt(f, a, b, epsabs, epsrel, max_evals):
     width_total = abs(b - a)
 
     while lo.size:
-        evals += lo.size * (len(_HI_NODES) + len(_LO_NODES))
+        evals += lo.size * len(_NODES)
         est, err = _panels(f, lo, hi)
         if not np.all(np.isfinite(est)):
             raise QuadratureError("non-finite integrand values encountered")

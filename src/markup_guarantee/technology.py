@@ -79,37 +79,65 @@ class IsoElasticCost:
 
 def _monotone_root(g, target, lo=0.0, hi=None, rel_tol=1e-12, max_iter=100,
                    g_prime=None):
-    """Solve g(q) = target for nondecreasing g: bracket, bisect, Newton polish."""
-    if hi is None:
-        hi = max(1.0, 2.0 * lo + 1.0)
-        for _ in range(200):
-            if g(hi) >= target:
-                break
-            lo, hi = hi, hi * 2.0
+    """Solve g(q) = target elementwise for nondecreasing g.
+
+    target, lo and hi broadcast to one shape; g and g_prime map an array of
+    that shape elementwise.  Each element is bracketed (hi doubled from
+    max(1, 2 lo + 1) when hi is None), bisected 80 times and polished by
+    Newton steps that stay inside its bracket, exactly as a solve of that
+    element alone would be.  Returns an array, or a float for scalar input.
+    """
+    target = np.asarray(target, dtype=float)
+    shape = np.broadcast_shapes(target.shape, np.shape(lo),
+                                () if hi is None else np.shape(hi))
+    t = np.broadcast_to(target, shape)
+    a = np.array(np.broadcast_to(np.asarray(lo, dtype=float), shape))
+    with np.errstate(all="ignore"):
+        if hi is None:
+            b = np.maximum(1.0, 2.0 * a + 1.0)
+            short = np.ones(shape, dtype=bool)
+            for _ in range(200):
+                short &= ~(g(b) >= t)
+                if not short.any():
+                    break
+                a = np.where(short, b, a)
+                b = np.where(short, 2.0 * b, b)
+            else:
+                raise RootFindError(
+                    f"marginal evaluator never reaches {t[short].flat[0]!r} "
+                    "on the search interval")
         else:
-            raise RootFindError(
-                f"marginal evaluator never reaches {target!r} on the search interval")
-    a, b = float(lo), float(hi)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if g(mid) < target:
-            a = mid
-        else:
-            b = mid
-    q = 0.5 * (a + b)
-    if g_prime is not None:
-        for _ in range(max_iter):
-            d = g_prime(q)
-            if d <= 0:
-                break
-            step = (g(q) - target) / d
-            q_new = q - step
-            if not (a <= q_new <= b):
-                break
-            q = q_new
-            if abs(step) <= rel_tol * max(1.0, abs(q)):
-                break
-    return q
+            b = np.array(np.broadcast_to(np.asarray(hi, dtype=float), shape))
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            below = g(mid) < t
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+        q = 0.5 * (a + b)
+        if g_prime is not None:
+            live = np.ones(shape, dtype=bool)
+            for _ in range(max_iter):
+                d = g_prime(q)
+                live &= ~(d <= 0)
+                step = (g(q) - t) / d
+                q_new = q - step
+                live &= (a <= q_new) & (q_new <= b)
+                q = np.where(live, q_new, q)
+                live &= ~(np.abs(step) <= rel_tol * np.maximum(1.0, np.abs(q)))
+                if not live.any():
+                    break
+    return q if q.ndim else float(q)
+
+
+def _positive_root(c_prime, v, c_double_prime=None):
+    """q with c'(q) = v where v > 0 and q = 0 elsewhere: one root call for
+    the whole array.  Returns an array, or a float for scalar v."""
+    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.zeros_like(v_arr)
+    pos = ~(v_arr <= 0)
+    if pos.any():
+        out[pos] = _monotone_root(c_prime, v_arr[pos], g_prime=c_double_prime)
+    return out if np.ndim(v) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -159,12 +187,7 @@ class GeneralConvexCost:
         return np.asarray(self.c_prime(q)) * q / np.asarray(self.c(q))
 
     def efficient_quality(self, v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.array([
-            0.0 if x <= 0 else _monotone_root(self.c_prime, x,
-                                              g_prime=self.c_double_prime)
-            for x in v_arr])
-        return out if np.ndim(v) else float(out[0])
+        return _positive_root(self.c_prime, v, self.c_double_prime)
 
 
 class PolynomialCost(GeneralConvexCost):
@@ -281,12 +304,8 @@ class NonlinearDemandModel:
         # invert h_q(v, .) = p; h concave in q makes h_q decreasing
         v_arr, p_arr = np.broadcast_arrays(np.asarray(v, dtype=float),
                                            np.asarray(p, dtype=float))
-        flat_v, flat_p = v_arr.ravel(), p_arr.ravel()
-        out = np.empty_like(flat_v)
-        for i, (vv, pp) in enumerate(zip(flat_v, flat_p)):
-            g = lambda q: -float(self.h_q(vv, q))
-            out[i] = _monotone_root(g, -pp, lo=1e-12, hi=None)
-        return out.reshape(v_arr.shape) if v_arr.ndim else float(out[0])
+        g = lambda q: -np.asarray(self.h_q(v_arr, q), dtype=float)
+        return _monotone_root(g, -p_arr, lo=1e-12)
 
     def elasticity(self, v, p):
         if self.eta_fn is not None:

@@ -110,7 +110,8 @@ class TestProfitAndSurplus:
 
     def test_expectation_skips_density_gaps(self, monkeypatch):
         # the density is 0 on the gap (1, 2): E[.] never evaluates there,
-        # and a report costs 8 first passes of 31 points (9 with the gap)
+        # and a report costs 5 first passes of 21 points: E[margin] on the
+        # two runs and one survival integral on [0, 1], [1, 2] and [2, 3]
         import markup_guarantee.functionals as fn
         from markup_guarantee.screening import bayes_optimal_mechanism
         F = Mixture((Uniform(0.0, 1.0), Uniform(2.0, 3.0)), (0.5, 0.5))
@@ -134,7 +135,15 @@ class TestProfitAndSurplus:
                 return f(v)
             return quad(counted, a, b, **kw)
 
+        surv_calls = []
+        surv = fn.survival_integral
+
+        def counting_survival(*args, **kw):
+            surv_calls.append(1)
+            return surv(*args, **kw)
+
         monkeypatch.setattr(fn, "adaptive_quad", counting_quad)
+        monkeypatch.setattr(fn, "survival_integral", counting_survival)
         cost = IsoElasticCost(eta=2.0)
         # S = 5/3; the Bayes menu serves v in [2, 3] with Q = 2v - 3, so
         # Pi = 13/12 and U = 5/12
@@ -142,8 +151,10 @@ class TestProfitAndSurplus:
                          (bayes_optimal_mechanism(F, cost, n_grid=2000),
                           0.65, 0.25)):
             evals.clear()
+            surv_calls.clear()
             rep = full_report(F, M, cost)
-            assert sum(evals) == 248
+            assert sum(evals) == 105
+            assert len(surv_calls) == 1
             assert abs(rep.pi_ratio - pi) < 1e-12
             assert abs(rep.u_ratio - u) < 1e-12
 

@@ -77,6 +77,25 @@ def test_marginal_price_rejects_quantity_gap():
     tariff = marginal_price(step, v_hi=10.0)
     with pytest.raises(ValueError):
         tariff.p(1.0)  # inside the jump from 0.5 to 2.0
+    with pytest.raises(ValueError, match="quantity gap"):
+        tariff.p(np.array([0.5, 1.0]))
+
+
+def test_marginal_price_inverts_an_array_in_one_root_call(monkeypatch):
+    import markup_guarantee.mechanisms as mech
+    calls = []
+    root = mech._monotone_root
+
+    def counting_root(*args, **kw):
+        calls.append(np.size(args[1]))
+        return root(*args, **kw)
+
+    monkeypatch.setattr(mech, "_monotone_root", counting_root)
+    tariff = marginal_price(guarantee_mechanism(2.0))
+    q = np.array([-1.0, 0.0, 0.25, 1.0, 3.0])
+    np.testing.assert_allclose(tariff.p(q), [0.0, 0.0, 0.5, 2.0, 6.0],
+                               rtol=1e-10)
+    assert calls == [3]
 
 
 def test_constant_markup_iso_elastic_fast_path():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import markup_guarantee.technology as tech
+from markup_guarantee.mechanisms import constant_markup_mechanism
 from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
                                          GeneralConvexCost,
                                          NonlinearDemandModel, PolynomialCost,
+                                         RootFindError,
                                          SeparableQuantityUtility,
                                          cost_from_spec, demand_elasticity,
                                          efficient_quality,
@@ -76,6 +79,68 @@ class TestGeneralConvex:
         v = 3.0
         q = efficient_quality(v, cost)
         assert float(cost.c_prime(q)) == pytest.approx(v, rel=1e-9)
+
+
+class TestMonotoneRoot:
+    COST = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
+
+    def test_array_solve_equals_one_element_solves_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        v = np.concatenate([rng.uniform(0.0, 5.0, 500),
+                            10.0 ** rng.uniform(-6.0, 4.0, 500)])
+        cost = self.COST
+        q = tech._monotone_root(cost.c_prime, v, g_prime=cost.c_double_prime)
+        one = [tech._monotone_root(cost.c_prime, v[i:i + 1],
+                                   g_prime=cost.c_double_prime)[0]
+               for i in range(v.size)]
+        assert q.shape == v.shape
+        assert np.array_equal(q, np.array(one))
+        assert np.allclose(cost.c_prime(q), v, rtol=1e-12, atol=0)
+
+    def test_bracket_doubles_past_one(self):
+        # c'(q) = q: the roots lie far above the first bracket [0, 1]
+        target = np.array([0.5, 3.0, 1e6])
+        q = tech._monotone_root(lambda x: x, target)
+        np.testing.assert_allclose(q, target, rtol=1e-12)
+        assert tech._monotone_root(lambda x: x, 40.0) == pytest.approx(40.0)
+
+    def test_bounded_evaluator_raises(self):
+        with pytest.raises(RootFindError):
+            tech._monotone_root(np.tanh, 2.0)
+        with pytest.raises(RootFindError):
+            tech._monotone_root(np.tanh, np.array([0.5, 2.0]))
+
+    def test_nonpositive_values_get_zero_quality(self):
+        cost = self.COST
+        v = np.array([-2.0, 0.0, 1.5, -0.0, 3.0])
+        Q = constant_markup_mechanism(cost).mechanism.Q
+        for q in (cost.efficient_quality(v), Q(v)):
+            assert np.all(q[[0, 1, 3]] == 0.0)
+            assert np.all(q[[2, 4]] > 0.0)
+        assert cost.efficient_quality(-1.0) == 0.0
+        assert Q(0.0) == 0.0
+
+    def test_one_root_call_per_array(self, monkeypatch):
+        calls = []
+        root = tech._monotone_root
+
+        def counting_root(*args, **kw):
+            calls.append(np.size(args[1]))
+            return root(*args, **kw)
+
+        monkeypatch.setattr(tech, "_monotone_root", counting_root)
+        v = np.linspace(-1.0, 4.0, 50)
+        self.COST.efficient_quality(v)
+        constant_markup_mechanism(self.COST).mechanism.Q(v)
+        m = NonlinearDemandModel(
+            eta_bar=-2.0,
+            h_q=lambda v, q: np.asarray(v, dtype=float)
+            * np.asarray(q, dtype=float) ** -0.5)
+        d = m.demand(v[v > 0][:, None], np.array([1.0, 2.0, 4.0]))
+        assert calls == [40, 40, 120]
+        np.testing.assert_allclose(
+            d, (v[v > 0][:, None] / np.array([1.0, 2.0, 4.0])) ** 2,
+            rtol=1e-8)
 
 
 class TestQuantitySide:

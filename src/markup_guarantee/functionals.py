@@ -3,10 +3,15 @@
 Expectations are split into the absolutely continuous part (one adaptive
 quadrature per run of touching density segments, split at their ends and
 at the menu's breakpoints, with the tail folded by u = 1/v) and the atom sum,
-which is added exactly.  Profit follows
-    Pi = E[v Q(v) - c(Q(v))] - int_0^vbar Q(v) (1 - F(v)) dv
-and consumer surplus U is the second integral alone; `full_report`
-computes U once and passes it to `mechanism_profit`.
+which is added exactly.  An integrand may return a (k, n) stack of rows that
+share the panels, and the expectation is then one value and error per row.
+
+A menu that states its transfers T is reported on them, by definition:
+    Pi = E[T(v) - c(Q(v))],    U = E[v Q(v) - T(v)],
+one stacked expectation in `full_report` with Q and T evaluated once per
+node.  A menu without T is reported by the envelope identity,
+    Pi = E[v Q(v) - c(Q(v))] - U,    U = int_0^vbar Q(v) (1 - F(v)) dv,
+and `full_report` computes U once and passes it to `mechanism_profit`.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
     """E[g(v)] = integral of g f over the density segments + atom sum.
 
     Segments that touch are integrated in one call; the gaps between runs
-    of them, where g f is 0, are skipped.  Returns (value, error_estimate).
+    of them, where g f is 0, are skipped.  Returns (value, error_estimate),
+    arrays with one entry per row when g returns a (k, n) stack.
     """
     value = 0.0
     err = 0.0
@@ -76,7 +82,10 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
         err += run_err
     if F.atoms():
         locs, masses = np.array(F.atoms()).T
-        value += float(masses @ np.asarray(g(locs), dtype=float))
+        atom_sum = np.asarray(g(locs), dtype=float) @ masses
+        value = value + (atom_sum if np.ndim(atom_sum) else float(atom_sum))
+    if np.ndim(value) and not np.ndim(err):
+        err = np.zeros_like(value)      # atoms only: the sum is exact
     return value, err
 
 
@@ -123,13 +132,31 @@ def efficient_surplus(F: ValueDistribution, cost) -> tuple:
     return expectation(F, s_of_v)
 
 
+def _stated_payoffs(F: ValueDistribution, M: DirectMechanism, cost):
+    """((Pi, U), (err_Pi, err_U)) of a menu that states T: E[T - c(Q)] and
+    E[v Q - T] in one stacked expectation, Q and T evaluated once per node."""
+    def payoffs(v):
+        v_arr = np.asarray(v, dtype=float)
+        q = np.asarray(M.Q(v_arr), dtype=float)
+        t = np.asarray(M.T(v_arr), dtype=float)
+        return np.stack([t - np.asarray(cost.c(q), dtype=float), v_arr * q - t])
+    return expectation(F, payoffs, breakpoints=M.breakpoints)
+
+
 def mechanism_profit(F: ValueDistribution, M: DirectMechanism, cost, *,
                      rent=None) -> tuple:
-    """Expected profit Pi = E[v Q(v) - c(Q(v))] - U of menu M against F.
+    """Expected profit of menu M against F.  Returns (value, error).
 
-    rent: the (value, error) pair `consumer_surplus(F, M)` returns, when
-    the caller has it; computed here when None.  Returns (value, error).
+    A menu that states its transfers is reported on them, not on the
+    envelope: Pi = E[T(v) - c(Q(v))], and rent is not used.  Otherwise
+    Pi = E[v Q(v) - c(Q(v))] - U, with rent the (value, error) pair
+    `consumer_surplus(F, M)` returns when the caller has it; computed here
+    when None.
     """
+    if M.T is not None:
+        (Pi, _), (err, _) = _stated_payoffs(F, M, cost)
+        return Pi, err
+
     def margin(v):
         v_arr = np.asarray(v, dtype=float)
         q = np.asarray(M.Q(v_arr), dtype=float)
@@ -141,7 +168,15 @@ def mechanism_profit(F: ValueDistribution, M: DirectMechanism, cost, *,
 
 
 def consumer_surplus(F: ValueDistribution, M: DirectMechanism) -> tuple:
-    """U = int Q(v)(1 - F(v)) dv (envelope form).  Returns (value, error)."""
+    """Expected buyer surplus U of menu M against F.  Returns (value, error).
+
+    A menu that states its transfers is reported on them, not on the
+    envelope: U = E[v Q(v) - T(v)].  Otherwise U = int Q(v)(1 - F(v)) dv,
+    the envelope form.
+    """
+    if M.T is not None:
+        return expectation(F, lambda v: np.asarray(M.rent(v), dtype=float),
+                           breakpoints=M.breakpoints)
     return survival_integral(F, M.Q, breakpoints=M.breakpoints)
 
 
@@ -169,11 +204,21 @@ class SurplusReport:
 
 
 def full_report(F: ValueDistribution, M: DirectMechanism, cost) -> SurplusReport:
-    """Bundle (S, Pi, U) with normalized ratios and quadrature errors."""
+    """Bundle (S, Pi, U) with normalized ratios and quadrature errors.
+
+    A menu that states its transfers is reported on them, not on the
+    envelope: Pi = E[T - c(Q)] and U = E[v Q - T] come from one stacked
+    expectation, with Q and T evaluated once per node and no survival
+    integral.  A menu without T gets U from the survival integral, once,
+    and Pi from `mechanism_profit`.
+    """
     S, err_S = efficient_surplus(F, cost)
     _require_positive_surplus(S)
-    U, err_U = consumer_surplus(F, M)
-    Pi, err_Pi = mechanism_profit(F, M, cost, rent=(U, err_U))
+    if M.T is not None:
+        (Pi, U), (err_Pi, err_U) = _stated_payoffs(F, M, cost)
+    else:
+        U, err_U = consumer_surplus(F, M)
+        Pi, err_Pi = mechanism_profit(F, M, cost, rent=(U, err_U))
     slack = max(_FEASIBILITY_HEADROOM * (err_S + err_Pi + err_U),
                 _FEASIBILITY_FLOOR * max(1.0, S))
     if Pi + U > S + slack:

@@ -35,11 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectMechanism:
-    """Menu {Q(v), T(v)}; Q nondecreasing, T from the envelope identity.
+    """Menu {Q(v), T(v)}; Q nondecreasing.
 
-    Q must accept numpy arrays.  breakpoints lists the values where Q is not
-    smooth (kinks, jumps, exclusion thresholds) so integrators can split
-    panels there.
+    Q (and T, when given) must accept numpy arrays.  A stated T is what the
+    menu charges, and reports take it as given; without T, transfers come
+    from the envelope identity.  breakpoints lists the values where Q or T
+    is not smooth (kinks, jumps, exclusion thresholds) so integrators can
+    split panels there.
     """
 
     Q: Callable

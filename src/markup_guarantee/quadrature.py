@@ -11,7 +11,11 @@ infinite upper limit folds the tail beyond the last point to a finite panel
 with the substitution u = 1/v, which turns Pareto-type tails into (at
 worst) mild endpoint power singularities that the open node set tolerates.
 Breakpoints and the infinite limit are arguments of the integrator, as in
-QUADPACK's qagp and qagi (Piessens et al., 1983).
+QUADPACK's qagp and qagi (Piessens et al., 1983).  An integrand may return a
+(k, n) stack of k integrands on n points; the rows share every panel, piece
+and tail fold, each row is held to its own tolerance, and a panel is
+accepted only when every row fits its share, as in DCUHRE's vector
+integrands (Berntsen, Espelid & Genz, 1991).
 """
 
 from __future__ import annotations
@@ -84,11 +88,15 @@ class QuadratureError(RuntimeError):
 
 
 class QuadResult(tuple):
-    """(value, error) pair; behaves like a tuple for unpacking."""
+    """(value, error) pair; behaves like a tuple for unpacking.  Floats for
+    one integrand, arrays with one entry per row for a stack."""
 
     __slots__ = ()
 
     def __new__(cls, value, error):
+        if np.ndim(value):
+            return super().__new__(cls, (np.asarray(value, dtype=float),
+                                         np.asarray(error, dtype=float)))
         return super().__new__(cls, (float(value), float(error)))
 
     @property
@@ -104,14 +112,21 @@ def _panels(f, lo, hi):
     """Evaluate the 10/21 Gauss-Kronrod pair on a batch of panels.
 
     lo, hi: 1-d arrays of panel endpoints.  One call of f on the 21 nodes
-    of every panel; returns the Kronrod estimates and |K21 - G10|.
+    of every panel; returns the Kronrod estimates and |K21 - G10|, one per
+    panel, or (panels, k) of them when f returns a (k, n) stack.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
-    v = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    est_k = (v * _KRONROD_WEIGHTS).sum(axis=1) * half
-    est_g = (v * _GAUSS_WEIGHTS).sum(axis=1) * half
+    v = np.asarray(f(x.ravel()), dtype=float)
+    if v.ndim == 2:
+        # one row per integrand: panels first, like the single case
+        v = v.reshape(len(v), *x.shape).transpose(1, 0, 2)
+        half = half[:, None]
+    else:
+        v = v.reshape(x.shape)
+    est_k = (v * _KRONROD_WEIGHTS).sum(axis=-1) * half
+    est_g = (v * _GAUSS_WEIGHTS).sum(axis=-1) * half
     return est_k, np.abs(est_k - est_g)
 
 
@@ -119,14 +134,20 @@ def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
                   max_evals=1_000_000):
     """Integrate a vectorized callable f over [a, b].
 
+    f maps n points to n values, or to a (k, n) stack of k integrands that
+    then share every panel: each row is held to its own tolerance
+    max(epsabs, epsrel |row total|), and a panel is accepted only when every
+    row fits its share of that row's tolerance.
+
     points: values where f is not smooth; each piece between consecutive
     points in (a, b) is refined to the tolerance on its own, with its own
     evaluation budget.  b may be inf: the tail beyond the last point is
     folded by u = 1/v, so it must start at a positive value.
 
-    Returns a QuadResult (value, error_estimate) summed over the pieces.
-    Raises QuadratureError if a piece runs out of budget before the
-    requested tolerance is met; its value and error are that piece's.
+    Returns a QuadResult (value, error_estimate) summed over the pieces,
+    with arrays of k values and errors for a stack (0.0 and 0.0 when
+    a == b).  Raises QuadratureError if a piece runs out of budget before
+    the requested tolerance is met; its value and error are that piece's.
     """
     a = float(a)
     b = float(b)
@@ -154,7 +175,8 @@ def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
 
 
 def _adapt(f, a, b, epsabs, epsrel, max_evals):
-    """Adaptive bisection of one smooth piece [a, b]; returns (value, error)."""
+    """Adaptive bisection of one smooth piece [a, b]; returns (value, error),
+    floats for one integrand and arrays for a stack."""
     # geometric seeding keeps panel widths commensurate with position on
     # log-wide ranges (heavy-tail segments), where uniform bisection from a
     # single panel wastes most of its depth budget
@@ -172,29 +194,34 @@ def _adapt(f, a, b, epsabs, epsrel, max_evals):
 
     while lo.size:
         evals += lo.size * len(_NODES)
+        # est, err: one entry per panel, or (panels, k) for a stack
         est, err = _panels(f, lo, hi)
-        if not np.all(np.isfinite(est)):
+        if not np.isfinite(est).all():
             raise QuadratureError("non-finite integrand values encountered")
-        total = done_value + est.sum()
-        tol = max(epsabs, epsrel * abs(total))
-        if done_error + err.sum() <= tol:
+        total = done_value + est.sum(axis=0)
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        if (done_error + err.sum(axis=0) <= tol).all():
             done_value = total
-            done_error += err.sum()
+            done_error += err.sum(axis=0)
             break
-        # accept panels whose error fits their share of the budget; the
-        # floor recognizes panels already converged to machine precision
-        share = np.maximum(tol * np.abs(hi - lo) / width_total,
-                           1e-15 * np.abs(est) + 1e-300)
+        # accept panels whose error fits their share of the budget in every
+        # row; the floor recognizes panels already converged to machine
+        # precision
+        share = np.maximum(
+            np.multiply.outer(np.abs(hi - lo), tol) / width_total,
+            1e-15 * np.abs(est) + 1e-300)
         ok = err <= share
-        done_value += est[ok].sum()
-        done_error += err[ok].sum()
+        if ok.ndim == 2:
+            ok = ok.all(axis=1)
+        done_value += est[ok].sum(axis=0)
+        done_error += err[ok].sum(axis=0)
         lo, hi = lo[~ok], hi[~ok]
         if lo.size and evals > max_evals:
-            rem_v = est[~ok].sum()
-            rem_e = err[~ok].sum()
+            rem_v = est[~ok].sum(axis=0)
+            rem_e = err[~ok].sum(axis=0)
             raise QuadratureError(
                 f"quadrature budget exhausted ({evals} evaluations, "
-                f"achieved error {done_error + rem_e:.3e})",
+                f"achieved error {np.max(done_error + rem_e):.3e})",
                 value=done_value + rem_v,
                 error=done_error + rem_e,
             )

@@ -201,8 +201,8 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
     R = np.append(price[:last] * q[:last], 0.0)
     # of the points selling to one share (a support gap) keep the dearest
     keep = q > np.append(np.maximum.accumulate(q[::-1])[-2::-1], -1.0)
-    price, q, R, down, loose, starts = (
-        x[keep] for x in (price, q, R, down, loose, (mass > 0.0) | down))
+    price, q, R, mass, down, loose, starts = (
+        x[keep] for x in (price, q, R, mass, down, loose, (mass > 0.0) | down))
     last = price.size - 1
     top = last if math.isfinite(hi) else last - 1
 
@@ -210,8 +210,8 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
     starts[:-1] |= (np.searchsorted(knots, price[1:], side="left")
                     > np.searchsorted(knots, price[:-1], side="right"))
     hull = _lower_convex_hull((-q).tolist(), (-R).tolist())
-    price, q, R, down, loose, starts = (  # floats for the point loops
-        x.tolist() for x in (price, q, R, down, loose, starts))
+    price, q, R, mass, down, loose, starts = (  # floats for the point loops
+        x.tolist() for x in (price, q, R, mass, down, loose, starts))
     chords = []
     for i, j in zip(hull, hull[1:]):
         if chords and chords[-1][1] == i and down[i]:
@@ -219,8 +219,22 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
         elif j > i + 1 or starts[i]:
             chords.append([i, j])
 
+    def share(a, qa, fa, b, qb, fb):
+        """q(a) - q(b) = P(a <= V < b).  Near q = 1 the difference of two
+        shares cancels, so it is F(b-) - F(a-) there, with F(x-) = fa or fb
+        (None: from cdf, at an end off every atom)."""
+        if qb < 0.5:
+            return qa - qb
+        fa = float(F.cdf(a)) if fa is None else fa
+        fb = float(F.cdf(b)) if fb is None else fb
+        return fb - fa
+
+    # F(p-) = P(V < p) at the chord ends on the grid, in one call
+    ends = [i for chord in chords for i in chord]
+    below = (np.asarray(F.cdf(np.array([price[i] for i in ends])), dtype=float)
+             - [mass[i] for i in ends]).tolist() if chords else []
     intervals = []
-    for i1, i2 in chords:
+    for (i1, i2), fa, fb in zip(chords, below[::2], below[1::2]):
         a, qa, Ra, b, qb, Rb = price[i1], q[i1], R[i1], price[i2], q[i2], R[i2]
         # a smooth end looks for its touch point between its grid neighbours;
         # a drop knot looks outward only, and the two ends of a chord
@@ -229,17 +243,19 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
             i1 if down[i1] or i1 + 1 >= i2 else i1 + 1])
         right = loose[i2] and (price[i2 if down[i2] else max(i2 - 1, i1)],
                                price[min(i2 + 1, top)])
-        lam = (Ra - Rb) / (qa - qb)
+        dq = share(a, qa, fa, b, qb, fb)
+        lam = (Ra - Rb) / dq
         for _ in range(50 if left or right else 0):
             if left:
-                a, qa = _touch(F, knots, lam, *left)
+                (a, qa), fa = _touch(F, knots, lam, *left), None
                 Ra = a * qa
             if right:
-                b, qb = _touch(F, knots, lam, *right)
+                (b, qb), fb = _touch(F, knots, lam, *right), None
                 Rb = b * qb
-            step, lam = lam, (Ra - Rb) / (qa - qb)
+            dq = share(a, qa, fa, b, qb, fb)
+            step, lam = lam, (Ra - Rb) / dq
             # stop once the step is down to the slope's rounding error
-            if abs(step - lam) * (qa - qb) <= 1e-15 * (Ra + Rb + abs(lam)):
+            if abs(step - lam) * dq <= 1e-15 * (Ra + Rb + abs(lam)):
                 break
         intervals.append((a, math.inf if i2 == last else b, lam))
 

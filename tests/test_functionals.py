@@ -13,7 +13,8 @@ from markup_guarantee.functionals import (InfiniteSurplusError, SurplusReport,
                                           mechanism_profit,
                                           quantity_surplus_report,
                                           survival_integral)
-from markup_guarantee.mechanisms import guarantee_mechanism
+from markup_guarantee.guarantees import consumer_share, guarantee_ratio
+from markup_guarantee.mechanisms import DirectMechanism, guarantee_mechanism
 from markup_guarantee.technology import (IsoElasticCost, PolynomialCost,
                                          SeparableQuantityUtility)
 
@@ -109,9 +110,11 @@ class TestProfitAndSurplus:
         assert abs(rep.u_ratio - 0.5) < 1e-12
 
     def test_expectation_skips_density_gaps(self, monkeypatch):
-        # the density is 0 on the gap (1, 2): E[.] never evaluates there,
-        # and a report costs 5 first passes of 21 points: E[margin] on the
-        # two runs and one survival integral on [0, 1], [1, 2] and [2, 3]
+        # the density is 0 on the gap (1, 2): E[.] never evaluates there.
+        # The guarantee menu states T, so its report is one stacked
+        # expectation on the two runs: 2 first passes of 21 points.  The
+        # Bayes menu's report costs 5: E[margin] on the two runs and one
+        # survival integral on [0, 1], [1, 2] and [2, 3]
         import markup_guarantee.functionals as fn
         from markup_guarantee.screening import bayes_optimal_mechanism
         F = Mixture((Uniform(0.0, 1.0), Uniform(2.0, 3.0)), (0.5, 0.5))
@@ -147,14 +150,15 @@ class TestProfitAndSurplus:
         cost = IsoElasticCost(eta=2.0)
         # S = 5/3; the Bayes menu serves v in [2, 3] with Q = 2v - 3, so
         # Pi = 13/12 and U = 5/12
-        for M, pi, u in ((guarantee_mechanism(2.0), 0.25, 0.5),
-                         (bayes_optimal_mechanism(F, cost, n_grid=2000),
-                          0.65, 0.25)):
+        for M, pi, u, n_evals, n_surv in (
+                (guarantee_mechanism(2.0), 0.25, 0.5, 42, 0),
+                (bayes_optimal_mechanism(F, cost, n_grid=2000), 0.65, 0.25,
+                 105, 1)):
             evals.clear()
             surv_calls.clear()
             rep = full_report(F, M, cost)
-            assert sum(evals) == 105
-            assert len(surv_calls) == 1
+            assert sum(evals) == n_evals
+            assert len(surv_calls) == n_surv
             assert abs(rep.pi_ratio - pi) < 1e-12
             assert abs(rep.u_ratio - u) < 1e-12
 
@@ -191,6 +195,84 @@ class TestProfitAndSurplus:
         row = rep.csv_row()
         assert len(row) == len(SurplusReport.csv_header)
         assert float(row[3]) == pytest.approx(rep.pi_ratio)
+
+
+GUARANTEE_ETAS = (1.5, 2.0, 3.0, 5.0)
+GUARANTEE_LAWS = {
+    "uniform": lambda eta: Uniform(0.5, 2.5),
+    "power": lambda eta: Power(0.7),
+    "pareto": lambda eta: Pareto(eta / (eta - 1.0) + 1.0),
+    "truncated-pareto": lambda eta: TruncatedPareto(2.0, 50.0),
+    "discrete": lambda eta: Discrete((0.5, 1.0, 2.5), (0.2, 0.5, 0.3)),
+    "point-mass": lambda eta: PointMass(1.7),
+    "gap-mixture": lambda eta: Mixture(
+        (Uniform(0.0, 1.0), Power(2.0), Uniform(2.0, 3.0), PointMass(4.0)),
+        (0.3, 0.2, 0.4, 0.1)),
+}
+
+
+class TestStatedTransfers:
+    """The guarantee menu states T: its report is E[T - c(Q)] and
+    E[v Q - T], one stacked expectation."""
+
+    @pytest.mark.parametrize("eta", GUARANTEE_ETAS)
+    @pytest.mark.parametrize("law", sorted(GUARANTEE_LAWS))
+    def test_guarantee_shares_are_exact(self, law, eta):
+        rep = full_report(GUARANTEE_LAWS[law](eta), guarantee_mechanism(eta),
+                          IsoElasticCost(eta=eta))
+        assert (abs(rep.pi_ratio - guarantee_ratio(eta))
+                <= 10.0 * rep.err_Pi / rep.S + 1e-15)
+        assert (abs(rep.u_ratio - consumer_share(eta))
+                <= 10.0 * rep.err_U / rep.S + 1e-15)
+
+    def test_one_pass_without_survival_integral(self, monkeypatch):
+        # Q is evaluated once per quadrature node and once per atom
+        import markup_guarantee.functionals as fn
+        F = GUARANTEE_LAWS["gap-mixture"](3.0)
+        M = guarantee_mechanism(3.0)
+        q_points, nodes, surv_calls = [], [], []
+
+        def counted_Q(v):
+            q_points.append(np.size(v))
+            return M.Q(v)
+
+        quad = fn.adaptive_quad
+
+        def counting_quad(f, a, b, **kw):
+            def counted(v):
+                nodes.append(np.size(v))
+                return f(v)
+            return quad(counted, a, b, **kw)
+
+        surv = fn.survival_integral
+        monkeypatch.setattr(fn, "adaptive_quad", counting_quad)
+        monkeypatch.setattr(fn, "survival_integral",
+                            lambda *a, **kw: surv_calls.append(1) or surv(
+                                *a, **kw))
+        full_report(F, DirectMechanism(Q=counted_Q, T=M.T),
+                    IsoElasticCost(eta=3.0))
+        assert not surv_calls
+        assert sum(nodes) > 0
+        assert sum(q_points) == sum(nodes) + len(F.atoms())
+
+    @pytest.mark.parametrize("law", ["uniform", "pareto", "gap-mixture"])
+    def test_fixed_fee_moves_rent_to_profit(self, law):
+        eta, fee = 2.0, 0.125
+        F, cost = GUARANTEE_LAWS[law](eta), IsoElasticCost(eta=eta)
+        M = guarantee_mechanism(eta)
+        charged = DirectMechanism(Q=M.Q, T=lambda v: M.T(v) + fee,
+                                  breakpoints=M.breakpoints)
+        base, fee_rep = full_report(F, M, cost), full_report(F, charged, cost)
+        rounding = 1e-15 * base.S
+        assert (abs(fee_rep.U - (base.U - fee))
+                <= base.err_U + fee_rep.err_U + rounding)
+        assert (abs(fee_rep.Pi - (base.Pi + fee))
+                <= base.err_Pi + fee_rep.err_Pi + rounding)
+        # the single functionals report on the same transfers
+        U, err_U = consumer_surplus(F, charged)
+        Pi, err_Pi = mechanism_profit(F, charged, cost)
+        assert abs(U - fee_rep.U) <= err_U + fee_rep.err_U + rounding
+        assert Pi == fee_rep.Pi and err_Pi == fee_rep.err_Pi
 
 
 class TestQuantityReport:

@@ -126,3 +126,53 @@ def test_linear_is_exact(a, width):
     res = adaptive_quad(lambda x: 2.0 * np.asarray(x) + 1.0, a, b)
     exact = (b**2 + b) - (a**2 + a)
     assert res.value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def _powers(x):
+    x = np.asarray(x, dtype=float)
+    return np.stack([x**k for k in range(6)])
+
+
+def test_stack_of_powers_is_exact_on_a_finite_range():
+    res = adaptive_quad(_powers, -1.0, 2.0, points=(0.5,))
+    exact = [(2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1) for k in range(6)]
+    assert res.value.shape == res.error.shape == (6,)
+    np.testing.assert_allclose(res.value, exact, rtol=1e-15, atol=1e-15)
+    assert np.all(res.error <= 1e-14)
+
+
+def test_stack_shares_the_tail_fold():
+    # int_1^inf v^-(k+2) dv = 1/(k+1); after u = 1/v each row is u^k
+    res = adaptive_quad(lambda v: 1.0 / (v * v * _powers(v)), 1.0, math.inf)
+    np.testing.assert_allclose(res.value, 1.0 / np.arange(1, 7), rtol=1e-15)
+    assert np.all(res.error <= 1e-15)
+
+
+def test_each_row_matches_its_own_scalar_call():
+    rows = (np.sqrt, lambda v: np.abs(v - 0.3), np.sin,
+            lambda v: np.maximum(v - 0.7, 0.0) ** 1.5)
+    stacked = adaptive_quad(lambda v: np.stack([g(v) for g in rows]), 0.0, 1.0,
+                            points=(0.3,))
+    assert stacked.value.shape == stacked.error.shape == (len(rows),)
+    assert np.all(stacked.error >= 0.0)
+    for g, value, error in zip(rows, stacked.value, stacked.error):
+        alone = adaptive_quad(g, 0.0, 1.0, points=(0.3,))
+        # the stated errors, plus the rounding of sums over other panels
+        # (the floor at which _adapt calls a panel converged)
+        assert (abs(value - alone.value)
+                <= error + alone.error + 1e-15 * abs(value))
+        # each row meets its own tolerance, not the stack's largest
+        assert error <= max(1e-11, 1e-9 * abs(value))
+
+
+def test_stack_budget_exhaustion_reports_every_row():
+    f = lambda x: np.stack([np.asarray(x, dtype=float),
+                            np.sin(1.0 / (np.asarray(x) + 1e-4))])
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_quad(f, 0.0, 1.0, max_evals=200)
+    assert exc.value.value.shape == exc.value.error.shape == (2,)
+
+
+def test_one_integrand_still_gives_floats():
+    res = adaptive_quad(lambda x: 3 * np.asarray(x) ** 2, 0.0, 2.0)
+    assert type(res.value) is float and type(res.error) is float

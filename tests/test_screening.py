@@ -206,6 +206,23 @@ class TestIroning:
         qa, qb = F.sf([a, b])
         assert lam == pytest.approx((a * qa - b * qb) / (qa - qb), abs=1e-10)
 
+    @pytest.mark.parametrize("F", [
+        Mixture((Power(0.975018113559694), Uniform(0.0, 1.272354172199643)),
+                (0.09371150524118829, 0.9062884947588118)),
+        Mixture((PointMass(0.05), Uniform(0.0, 2.0)), (0.01, 0.99)),
+    ], ids=["power-uniform", "atom-at-start"])
+    def test_chord_slope_near_the_bottom_does_not_cancel(self, F):
+        # the first chord sells to shares near 1 at both ends (F(b) is
+        # about 3e-3 on the first law), where q(a) - q(b) = 1 - sf(b)
+        # cancels; its slope is (R(a) - R(b)) / (F(b-) - F(a-)) to 2 ulps
+        atoms = dict(F.atoms())
+        a, b, lam = iron(F, n_grid=3000).ironed_intervals[0]
+        R = lambda p: p * (float(F.sf(p)) + atoms.get(p, 0.0))
+        below = lambda p: float(F.cdf(p)) - atoms.get(p, 0.0)
+        assert float(F.sf(b)) > 0.5
+        exact = (R(a) - R(b)) / (below(b) - below(a))
+        assert abs(lam - exact) <= 2 * np.spacing(abs(exact))
+
 
 class TestBayesOptimal:
     def test_pareto_closed_form_allocation(self):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import (Binary, PointMass, Power, TruncatedPareto,
-                            Uniform, distribution_from_spec)
+                            Uniform, _spec_field, distribution_from_spec)
 from .functionals import InfiniteSurplusError, full_report
 from .guarantees import (consumer_share, eta2_boundary, eta2_membership,
                          feasible_beta_interval, frontier,
@@ -234,21 +234,22 @@ def cmd_frontier(args):
     path = _out_path(args.out, "frontier.csv")
     _write_csv(path, ["alpha", "beta", "u_over_s", "branch"], rows)
     print(f"wrote {path}")
-    if args.format in ("svg", "csv"):
-        svg = _svg_plot(
-            [(betas, [frontier(b, eta) for b in betas], "steelblue")],
-            xlabel="profit share of efficient surplus",
-            ylabel="consumer share of efficient surplus",
-            title=f"surplus frontier, cost elasticity {eta:g}")
-        svg_path = _out_path(args.out, "frontier.svg")
-        with open(svg_path, "w") as fh:
-            fh.write(svg)
-        print(f"wrote {svg_path}")
+    svg = _svg_plot(
+        [(betas, [frontier(b, eta) for b in betas], "steelblue")],
+        xlabel="profit share of efficient surplus",
+        ylabel="consumer share of efficient surplus",
+        title=f"surplus frontier, cost elasticity {eta:g}")
+    svg_path = _out_path(args.out, "frontier.svg")
+    with open(svg_path, "w") as fh:
+        fh.write(svg)
+    print(f"wrote {svg_path}")
     return EXIT_OK
 
 
 def cmd_boundary(args):
-    n = max(args.grid, 2)
+    n = args.grid
+    if n < 2:
+        raise ConfigError("--grid must be at least 2")
     rows = []
     alphas_up = np.geomspace(2.0, 200.0, n)
     for a in alphas_up:
@@ -276,7 +277,7 @@ def cmd_boundary(args):
     pts = []
     bad = []
     for name, F in overlays:
-        M = bayes_optimal_mechanism(F, cost, n_grid=4000)
+        M = bayes_optimal_mechanism(F, cost)
         rep = full_report(F, M, cost)
         verdict = eta2_membership(rep.u_ratio, rep.pi_ratio, tol=1e-6)
         pts.append((rep.u_ratio, rep.pi_ratio, "firebrick", name))
@@ -374,8 +375,9 @@ def cmd_oracle(args):
         n_types = int(cfg.get("n_types", 10))
         values, masses = discretize(F, n_types)
     else:
-        values = tuple(float(v) for v in cfg["values"])
-        masses = tuple(float(m) for m in cfg["masses"])
+        what = "'oracle' config without a 'distribution'"
+        values = tuple(float(v) for v in _spec_field(cfg, "values", what))
+        masses = tuple(float(m) for m in _spec_field(cfg, "masses", what))
     if "quality_grid" in cfg:
         grid = tuple(float(q) for q in cfg["quality_grid"])
     else:
@@ -456,7 +458,7 @@ def cmd_sweep(args):
         if mech_kind == "guarantee":
             M = guarantee_mechanism(eta)
         else:
-            M = bayes_optimal_mechanism(F, cost, n_grid=args.grid)
+            M = bayes_optimal_mechanism(F, cost)
         return full_report(F, M, cost)
 
     reports = [run(F) for F in battery]
@@ -491,6 +493,15 @@ def _emit(args, name, text):
 # entry point
 # ---------------------------------------------------------------------------
 
+_SHARED_FLAGS = {
+    "--eta": dict(type=float, default=None,
+                  help="cost (or demand) elasticity"),
+    "--config": dict(type=str, default=None, help="JSON scenario config"),
+    "--out": dict(type=str, default=None, help="output directory"),
+    "--tol": dict(type=float, default=1e-6, help="certificate tolerance"),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="markup-guarantee",
@@ -500,37 +511,29 @@ def build_parser():
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--eta", type=float, default=None,
-                        help="cost (or demand) elasticity")
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON scenario config")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-6,
-                        help="certificate tolerance")
-        sp.add_argument("--grid", type=int, default=2000,
-                        help="grid size (sweep points / quantile cells)")
-        sp.add_argument("--format", choices=("csv", "json", "svg"),
-                        default="csv")
-
-    for name, fn in (("guarantee", cmd_guarantee),
-                     ("frontier", cmd_frontier),
-                     ("boundary", cmd_boundary),
-                     ("verify", cmd_verify),
-                     ("oracle", cmd_oracle),
-                     ("procure", cmd_procure),
-                     ("sweep", cmd_sweep)):
+    def command(name, fn, *flags):
+        """A subcommand that takes exactly the flags its handler reads."""
         sp = sub.add_parser(name)
-        common(sp)
-        if name == "frontier":
-            sp.set_defaults(grid=50)
-        if name == "boundary":
-            sp.set_defaults(grid=50)
-        if name == "procure":
-            sp.add_argument("--side", choices=("quality", "quantity"),
-                            required=True)
+        for flag in flags:
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
         sp.set_defaults(fn=fn)
+        return sp
+
+    sp = command("guarantee", cmd_guarantee, "--eta", "--config", "--out",
+                 "--tol")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp = command("frontier", cmd_frontier, "--eta", "--out")
+    sp.add_argument("--grid", type=int, default=50,
+                    help="number of frontier points")
+    sp = command("boundary", cmd_boundary, "--out")
+    sp.add_argument("--grid", type=int, default=50,
+                    help="points per boundary branch")
+    command("verify", cmd_verify, "--eta", "--config", "--out", "--tol")
+    command("oracle", cmd_oracle, "--eta", "--config", "--out")
+    sp = command("procure", cmd_procure, "--eta", "--out")
+    sp.add_argument("--side", choices=("quality", "quantity"), required=True)
+    sp = command("sweep", cmd_sweep, "--eta", "--config", "--out")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
 
 

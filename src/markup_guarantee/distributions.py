@@ -178,7 +178,9 @@ class TruncatedPareto(ValueDistribution):
         return np.where((v < 1.0) | (v >= self.k), 0.0, dens)
 
     def atoms(self):
-        return ((self.k, self.k ** -self.alpha),)
+        # a tail mass that underflows to 0 is no atom
+        mass = self.k ** -self.alpha
+        return ((self.k, mass),) if mass > 0.0 else ()
 
     def density_segments(self):
         return ((1.0, self.k),)
@@ -409,8 +411,8 @@ class Mixture(ValueDistribution):
         if len(comps) != len(weights) or not comps:
             raise ValueError("components and weights must be equal-length, nonempty")
         _finite(*weights)
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
         if abs(sum(weights) - 1.0) > _MASS_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
 
@@ -445,7 +447,8 @@ class Mixture(ValueDistribution):
         for w, c in zip(self.weights, self.components):
             for loc, mass in c.atoms():
                 merged[loc] = merged.get(loc, 0.0) + w * mass
-        return tuple(sorted(merged.items()))
+        # a weighted mass that underflows to 0 is no atom
+        return tuple(sorted((loc, m) for loc, m in merged.items() if m > 0.0))
 
     def density_segments(self):
         # split at every component end: the density jumps there, so no
@@ -606,13 +609,18 @@ _KINDS = {
 }
 
 
+def _spec_field(spec, name, what):
+    """spec[name], or a ValueError saying that `what` needs the field."""
+    try:
+        return spec[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} needs a {name!r} field") from None
+
+
 def distribution_from_spec(spec: dict) -> ValueDistribution:
     """Build a distribution from its JSON spec, e.g.
     {"kind": "truncated_pareto", "alpha": 2.0, "k": 100.0}."""
-    try:
-        kind = spec["kind"]
-    except (KeyError, TypeError):
-        raise ValueError("distribution spec needs a 'kind' field") from None
+    kind = _spec_field(spec, "kind", "distribution spec")
     if kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}")
     known = {"kind", "alpha", "k", "a", "b", "v_lo", "v_hi", "p_hi",

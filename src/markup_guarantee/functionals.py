@@ -56,6 +56,25 @@ def _require_positive_surplus(S):
                          "U/S need a law with positive surplus")
 
 
+def _weighted(g, weight):
+    """v -> g(v) weight(v), with g evaluated only where the weight is not 0.
+
+    Where a law's density or survival underflows to 0 the product is 0
+    whatever g is, and g need not be defined or finite there (a menu's
+    virtual value needs a positive density; a power of v may overflow).
+    """
+    def integrand(v):
+        w = np.asarray(weight(v), dtype=float)
+        live = w != 0.0
+        if live.all():
+            return np.asarray(g(v), dtype=float) * w
+        gv = np.asarray(g(v[live]), dtype=float)
+        out = np.zeros(gv.shape[:-1] + w.shape)
+        out[..., live] = gv * w[live]
+        return out
+    return integrand
+
+
 def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
     """E[g(v)] = integral of g f over the density segments + atom sum.
 
@@ -73,8 +92,7 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
             runs[-1][1] = b
         else:
             runs.append([a, b])
-    integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
-        F.pdf(v), dtype=float)
+    integrand = _weighted(g, F.pdf)
     for a, b in runs:
         run_value, run_err = adaptive_quad(integrand, a, b,
                                            points=[*ends, *breakpoints])
@@ -93,9 +111,7 @@ def survival_integral(F: ValueDistribution, g: Callable, breakpoints=()):
     """int_0^vbar g(v) (1 - F(v)) dv.  Returns (value, error_estimate)."""
     pts = [F.support[0], *breakpoints, *(loc for loc, _ in F.atoms())]
     pts += [e for seg in F.density_segments() for e in seg]
-    integrand = lambda v: np.asarray(g(v), dtype=float) * np.asarray(
-        F.sf(v), dtype=float)
-    return adaptive_quad(integrand, 0.0, F.support[1], points=pts)
+    return adaptive_quad(_weighted(g, F.sf), 0.0, F.support[1], points=pts)
 
 
 def efficient_surplus(F: ValueDistribution, cost) -> tuple:

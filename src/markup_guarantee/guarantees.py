@@ -220,13 +220,13 @@ def eta2_membership(x: float, y: float, tol: float = 1e-9) -> str:
 # ---------------------------------------------------------------------------
 
 def verify_lower_bound(eta: float, distributions: Iterable[ValueDistribution],
-                       tol: float = DEFAULT_TOL, n_grid: int = 10_000):
+                       tol: float = DEFAULT_TOL):
     """Certify (U + Pi)/S >= 1/eta under Bayes-optimal menus."""
     bound = surplus_lower_bound(eta)
     cost = IsoElasticCost(eta=eta)
     certs = []
     for F in distributions:
-        M = bayes_optimal_mechanism(F, cost, n_grid=n_grid)
+        M = bayes_optimal_mechanism(F, cost)
         rep = full_report(F, M, cost)
         certs.append(GuaranteeCertificate(
             claim_id="surplus_lower_bound",
@@ -237,11 +237,11 @@ def verify_lower_bound(eta: float, distributions: Iterable[ValueDistribution],
     return certs
 
 
-def holder_audit(F: ValueDistribution, eta: float, tol: float = DEFAULT_TOL,
-                 n_grid: int = 10_000) -> GuaranteeCertificate:
+def holder_audit(F: ValueDistribution, eta: float,
+                 tol: float = DEFAULT_TOL) -> GuaranteeCertificate:
     """Certify U/S <= (eta/(eta-1)) ((Pi/S)^{1/eta} - Pi/S) at the optimum."""
     cost = IsoElasticCost(eta=eta)
-    M = bayes_optimal_mechanism(F, cost, n_grid=n_grid)
+    M = bayes_optimal_mechanism(F, cost)
     rep = full_report(F, M, cost)
     bound = (eta / (eta - 1.0)) * (rep.pi_ratio ** (1.0 / eta) - rep.pi_ratio)
     # certificate convention: measured slack = bound - U/S must be >= -tol
@@ -394,7 +394,7 @@ def rational_limit(xs, fs):
     return float(a)
 
 
-def pareto_bayes_outcome(alpha: float, eta: float, n_grid: int = 10_000):
+def pareto_bayes_outcome(alpha: float, eta: float):
     """(Pi/S, U/S) of the Bayes-optimal menu against Pareto(alpha).
 
     Strictly above the finite-surplus boundary this is a direct quadrature
@@ -408,7 +408,7 @@ def pareto_bayes_outcome(alpha: float, eta: float, n_grid: int = 10_000):
     cost = IsoElasticCost(eta=eta)
     if alpha > boundary + 1e-9:
         F = Pareto(alpha)
-        M = bayes_optimal_mechanism(F, cost, n_grid=n_grid)
+        M = bayes_optimal_mechanism(F, cost)
         rep = full_report(F, M, cost)
         return rep.pi_ratio, rep.u_ratio
 
@@ -417,7 +417,7 @@ def pareto_bayes_outcome(alpha: float, eta: float, n_grid: int = 10_000):
     u_ratios = []
     for lk in log_ks:
         F = TruncatedPareto(alpha=alpha, k=math.exp(lk))
-        M = bayes_optimal_mechanism(F, cost, n_grid=n_grid)
+        M = bayes_optimal_mechanism(F, cost)
         rep = full_report(F, M, cost)
         pi_ratios.append(rep.pi_ratio)
         u_ratios.append(rep.u_ratio)

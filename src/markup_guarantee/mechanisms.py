@@ -1,8 +1,11 @@
 """Selling mechanisms: direct menus, indirect tariffs, and markup rules.
 
-A direct mechanism is a pair of evaluators (Q, T) over buyer values.  All
-constructors here produce incentive-compatible menus by building transfers
-from the envelope identity T(v) = v Q(v) - int_0^v Q(s) ds.
+A direct mechanism is a pair of evaluators (Q, T) over buyer values, with Q
+nondecreasing.  The guarantee menu states T in closed form: the envelope
+transfer of its Q.  The constant-markup menu states no T, and neither do the
+Bayes-optimal menus of screening.py; their transfers, when asked for, come
+from the envelope identity T(v) = v Q(v) - int_0^v Q(s) ds by quadrature.
+Either way the menu is incentive compatible.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def envelope_transfer(Q, v, breakpoints=()):
     return v * float(np.asarray(Q(v))) - integral
 
 
-def marginal_price(M: DirectMechanism, q_grid=None, v_hi=None) -> IndirectTariff:
+def marginal_price(M: DirectMechanism, v_hi=None) -> IndirectTariff:
     """Indirect tariff p(q) = Q^{-1}(q) by monotone inversion.
 
     Q must be strictly increasing and continuous on the queried range; flat

@@ -77,6 +77,12 @@ def _kronrod_table():
 
 _NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = _kronrod_table()
 
+# every integral is held to max(_EPSABS, _EPSREL |total|), and a piece that
+# spends more than _MAX_EVALS integrand values raises QuadratureError
+_EPSABS = 1e-11
+_EPSREL = 1e-9
+_MAX_EVALS = 1_000_000
+
 
 class QuadratureError(RuntimeError):
     """Raised when the evaluation budget is exhausted before convergence."""
@@ -130,19 +136,19 @@ def _panels(f, lo, hi):
     return est_k, np.abs(est_k - est_g)
 
 
-def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
-                  max_evals=1_000_000):
+def adaptive_quad(f, a, b, *, points=()):
     """Integrate a vectorized callable f over [a, b].
 
     f maps n points to n values, or to a (k, n) stack of k integrands that
     then share every panel: each row is held to its own tolerance
-    max(epsabs, epsrel |row total|), and a panel is accepted only when every
+    max(1e-11, 1e-9 |row total|), and a panel is accepted only when every
     row fits its share of that row's tolerance.
 
     points: values where f is not smooth; each piece between consecutive
     points in (a, b) is refined to the tolerance on its own, with its own
-    evaluation budget.  b may be inf: the tail beyond the last point is
-    folded by u = 1/v, so it must start at a positive value.
+    budget of 1,000,000 integrand values.  b may be inf: the tail beyond
+    the last point is folded by u = 1/v, so it must start at a positive
+    value.
 
     Returns a QuadResult (value, error_estimate) summed over the pieces,
     with arrays of k values and errors for a stack (0.0 and 0.0 when
@@ -168,13 +174,13 @@ def adaptive_quad(f, a, b, *, points=(), epsabs=1e-11, epsrel=1e-9,
             # int_lo^inf f(v) dv = int_0^{1/lo} f(1/u) / u^2 du
             g = lambda u: np.asarray(f(1.0 / u), dtype=float) / (u * u)
             lo, hi = 0.0, 1.0 / lo
-        piece_value, piece_error = _adapt(g, lo, hi, epsabs, epsrel, max_evals)
+        piece_value, piece_error = _adapt(g, lo, hi)
         value += piece_value
         error += piece_error
     return QuadResult(value, error)
 
 
-def _adapt(f, a, b, epsabs, epsrel, max_evals):
+def _adapt(f, a, b):
     """Adaptive bisection of one smooth piece [a, b]; returns (value, error),
     floats for one integrand and arrays for a stack."""
     # geometric seeding keeps panel widths commensurate with position on
@@ -199,7 +205,7 @@ def _adapt(f, a, b, epsabs, epsrel, max_evals):
         if not np.isfinite(est).all():
             raise QuadratureError("non-finite integrand values encountered")
         total = done_value + est.sum(axis=0)
-        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
         if (done_error + err.sum(axis=0) <= tol).all():
             done_value = total
             done_error += err.sum(axis=0)
@@ -216,7 +222,7 @@ def _adapt(f, a, b, epsabs, epsrel, max_evals):
         done_value += est[ok].sum(axis=0)
         done_error += err[ok].sum(axis=0)
         lo, hi = lo[~ok], hi[~ok]
-        if lo.size and evals > max_evals:
+        if lo.size and evals > _MAX_EVALS:
             rem_v = est[~ok].sum(axis=0)
             rem_e = err[~ok].sum(axis=0)
             raise QuadratureError(

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+# quantiles at which `iron` samples the revenue curve; the grid only locates
+# the hull's chords, whose ends, constants and the cutoff are solved exactly
+_N_GRID = 2000
+
+
 class AtomError(ValueError):
     """Virtual value requested at a mass point of the distribution."""
 
@@ -157,16 +162,17 @@ def _touch(F, knots, lam, lo, hi):
     return best
 
 
-def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
+def iron(F: ValueDistribution) -> VirtualValueCurve:
     """Iron the virtual value of F on its revenue curve, for any law.
 
-    The curve is sampled at n_grid quantiles (16 more between each pair of
-    knots), every knot (support and density-segment ends, atoms) and q = 0.
-    A hull chord is ironed when it skips a point, spans a gap, or starts at
-    an atom or at a knot where the density drops, which no hull vertex of
-    the continuum can sit on.  Ends at other knots stay put; a smooth end
-    solves phi = slope near its vertex, and resetting the slope to the new
-    chord's is Newton's method on max H_a - max H_b (derivative q_b - q_a).
+    The curve is sampled at a fixed 2000 quantiles (16 more between each
+    pair of knots), every knot (support and density-segment ends, atoms)
+    and q = 0.  A hull chord is ironed when it skips a point, spans a gap,
+    or starts at an atom or at a knot where the density drops, which no
+    hull vertex of the continuum can sit on.  Ends at other knots stay put;
+    a smooth end solves phi = slope near its vertex, and resetting the slope
+    to the new chord's is Newton's method on max H_a - max H_b (derivative
+    q_b - q_a).
     """
     (lo, hi), atoms, segments = F.support, dict(F.atoms()), F.density_segments()
     knots = np.unique([x for x in (lo, hi, *atoms, *np.ravel(segments))
@@ -177,12 +183,12 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
 
     grid = np.empty(0)
     if segments:
-        eps = 1e-6 / n_grid
+        eps = 1e-6 / _N_GRID
         start = np.asarray(F.cdf(knots), dtype=float)
         width = np.append(start[1:] - k_mass[1:], 1.0) - start
         inner = start[:, None] + width[:, None] * ((np.arange(16) + 0.5) / 16)
         grid = np.asarray(F.quantile(np.append(np.linspace(
-            eps, 1.0 - eps, n_grid), inner[width > 1e-12])), dtype=float)
+            eps, 1.0 - eps, _N_GRID), inner[width > 1e-12])), dtype=float)
         # keep prices inside a density segment and not rounded onto a knot
         j = np.searchsorted(knots, grid)
         near = np.minimum(np.abs(grid - knots[np.maximum(j - 1, 0)]),
@@ -273,8 +279,8 @@ def iron(F: ValueDistribution, n_grid: int = 10_000) -> VirtualValueCurve:
                              cutoff=None if cutoff == lo else cutoff)
 
 
-def bayes_optimal_mechanism(F: ValueDistribution, cost: IsoElasticCost,
-                            n_grid: int = 10_000) -> DirectMechanism:
+def bayes_optimal_mechanism(F: ValueDistribution,
+                            cost: IsoElasticCost) -> DirectMechanism:
     """Seller-optimal menu for F under iso-elastic cost.
 
     First-order condition c'(Q) = phi_bar gives Q(v) = max(phi_bar(v), 0)
@@ -284,7 +290,7 @@ def bayes_optimal_mechanism(F: ValueDistribution, cost: IsoElasticCost,
     if not F.tail_condition(eta):
         raise ValueError("surplus is infinite for this (F, eta); truncate the "
                          "tail explicitly")
-    curve = iron(F, n_grid=n_grid)
+    curve = iron(F)
     lo = F.support[0]
     start = lo if curve.cutoff is None else curve.cutoff
     power = 1.0 / (eta - 1.0)
@@ -302,14 +308,12 @@ def bayes_optimal_mechanism(F: ValueDistribution, cost: IsoElasticCost,
     return mech
 
 
-def bayes_markup_curve(F: ValueDistribution, cost: IsoElasticCost,
-                       curve: Optional[VirtualValueCurve] = None):
+def bayes_markup_curve(F: ValueDistribution):
     """Lerner markup of the Bayes-optimal menu: (1-F(v)) / (f(v) v).
 
     Defined only on the regular region; raises inside ironed intervals.
     """
-    if curve is None:
-        curve = iron(F)
+    curve = iron(F)
 
     def markup(v):
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))

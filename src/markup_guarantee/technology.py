@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .distributions import _spec_field
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -77,15 +78,15 @@ class IsoElasticCost:
         return {"kind": "iso_elastic", "eta": self.eta}
 
 
-def _monotone_root(g, target, lo=0.0, hi=None, rel_tol=1e-12, max_iter=100,
-                   g_prime=None):
+def _monotone_root(g, target, lo=0.0, hi=None, g_prime=None):
     """Solve g(q) = target elementwise for nondecreasing g.
 
     target, lo and hi broadcast to one shape; g and g_prime map an array of
     that shape elementwise.  Each element is bracketed (hi doubled from
-    max(1, 2 lo + 1) when hi is None), bisected 80 times and polished by
-    Newton steps that stay inside its bracket, exactly as a solve of that
-    element alone would be.  Returns an array, or a float for scalar input.
+    max(1, 2 lo + 1) when hi is None), bisected 80 times and polished by up
+    to 100 Newton steps that stay inside its bracket, until a step is below
+    1e-12 max(1, |q|), exactly as a solve of that element alone would be.
+    Returns an array, or a float for scalar input.
     """
     target = np.asarray(target, dtype=float)
     shape = np.broadcast_shapes(target.shape, np.shape(lo),
@@ -116,14 +117,14 @@ def _monotone_root(g, target, lo=0.0, hi=None, rel_tol=1e-12, max_iter=100,
         q = 0.5 * (a + b)
         if g_prime is not None:
             live = np.ones(shape, dtype=bool)
-            for _ in range(max_iter):
+            for _ in range(100):
                 d = g_prime(q)
                 live &= ~(d <= 0)
                 step = (g(q) - t) / d
                 q_new = q - step
                 live &= (a <= q_new) & (q_new <= b)
                 q = np.where(live, q_new, q)
-                live &= ~(np.abs(step) <= rel_tol * np.maximum(1.0, np.abs(q)))
+                live &= ~(np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(q)))
                 if not live.any():
                     break
     return q if q.ndim else float(q)
@@ -145,26 +146,19 @@ class GeneralConvexCost:
     """Convex cost with convex marginal (c''' >= 0) and bounded elasticity.
 
     Validation is best-effort: c''' >= 0 and eta(q) <= eta_bar are checked by
-    finite differences on a geometric probe grid, which cannot certify the
-    conditions globally.
+    finite differences on 256 geometric probe points in [1e-4, 1e4], which
+    cannot certify the conditions globally.
     """
 
     c: Callable
     c_prime: Callable
     c_double_prime: Optional[Callable] = None
     eta_bar: float = 2.0
-    q_min: float = 1e-4
-    q_max: float = 1e4
-    validate: bool = True
 
     def __post_init__(self):
         if self.eta_bar <= 1.0:
             raise CostValidationError("declared elasticity bound must exceed 1")
-        if self.validate:
-            self._run_validation()
-
-    def _run_validation(self):
-        grid = np.geomspace(self.q_min, self.q_max, 256)
+        grid = np.geomspace(1e-4, 1e4, 256)
         c0 = np.asarray(self.c(grid), dtype=float)
         if abs(float(self.c(0.0))) > 1e-12:
             raise CostValidationError("cost must satisfy c(0) = 0")
@@ -193,7 +187,7 @@ class GeneralConvexCost:
 class PolynomialCost(GeneralConvexCost):
     """Convex polynomial cost c(q) = sum coeffs[i] q^i (no constant term)."""
 
-    def __init__(self, coeffs, eta_bar, q_min=1e-4, q_max=1e4, validate=True):
+    def __init__(self, coeffs, eta_bar):
         coeffs = tuple(float(x) for x in coeffs)
         if coeffs and coeffs[0] != 0.0:
             raise CostValidationError("polynomial cost must have c(0) = 0")
@@ -201,8 +195,7 @@ class PolynomialCost(GeneralConvexCost):
         d1 = poly.deriv(1)
         d2 = poly.deriv(2)
         super().__init__(c=poly, c_prime=d1, c_double_prime=d2,
-                         eta_bar=eta_bar, q_min=q_min, q_max=q_max,
-                         validate=validate)
+                         eta_bar=eta_bar)
         self.coeffs = coeffs
 
     def to_spec(self):
@@ -350,16 +343,19 @@ def demand_elasticity(model, v, p):
 
 
 def cost_from_spec(spec: dict):
-    kind = spec.get("kind")
+    kind = _spec_field(spec, "kind", "cost spec")
     if kind == "iso_elastic":
-        return IsoElasticCost(eta=spec["eta"])
+        return IsoElasticCost(eta=_spec_field(spec, "eta", "iso_elastic spec"))
     if kind == "poly_cost":
-        return PolynomialCost(coeffs=spec["coeffs"], eta_bar=spec["eta_bar"])
+        what = "poly_cost spec"
+        return PolynomialCost(coeffs=_spec_field(spec, "coeffs", what),
+                              eta_bar=_spec_field(spec, "eta_bar", what))
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
 def quantity_model_from_spec(spec: dict):
-    kind = spec.get("kind")
+    kind = _spec_field(spec, "kind", "quantity model spec")
     if kind == "separable_quantity":
-        return SeparableQuantityUtility(eta=spec["eta"])
+        return SeparableQuantityUtility(
+            eta=_spec_field(spec, "eta", "separable_quantity spec"))
     raise ValueError(f"unknown quantity model kind {kind!r}")

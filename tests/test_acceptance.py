@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import markup_guarantee as mg
+from markup_guarantee import screening
 from markup_guarantee.guarantees import rational_limit
 
 ETA_GRID = (1.5, 2.0, 3.0, 5.0)
@@ -54,7 +55,7 @@ def _mixture_report(eta, i):
     if key not in _MIXTURE_REPORTS:
         F = _MIXTURES[i]
         cost = mg.IsoElasticCost(eta=eta)
-        M = mg.bayes_optimal_mechanism(F, cost, n_grid=3000)
+        M = mg.bayes_optimal_mechanism(F, cost)
         _MIXTURE_REPORTS[key] = mg.full_report(F, M, cost)
     return _MIXTURE_REPORTS[key]
 
@@ -120,7 +121,7 @@ def test_criterion_04_saddle_gap():
     xs, offsets, gaps = [], [], []
     for k in (1e2, 1e3, 1e4):
         F = mg.TruncatedPareto(alpha=2.0, k=k)
-        Mb = mg.bayes_optimal_mechanism(F, cost, n_grid=4000)
+        Mb = mg.bayes_optimal_mechanism(F, cost)
         Pi_b, _ = mg.mechanism_profit(F, Mb, cost)
         Pi_g, _ = mg.mechanism_profit(F, M_star, cost)
         xs.append(1.0 / math.log(k))
@@ -142,7 +143,7 @@ def test_criterion_05_frontier_tightness():
     worst = 0.0
     for beta in (0.25, 4.0 / 9.0, 0.64, 0.81):
         alpha = 1.0 / (1.0 - math.sqrt(beta))
-        pi, u = mg.pareto_bayes_outcome(alpha, 2.0, n_grid=4000)
+        pi, u = mg.pareto_bayes_outcome(alpha, 2.0)
         worst = max(worst, abs(pi - beta),
                     abs(u - 2.0 * (math.sqrt(beta) - beta)))
     assert _verdict("criterion 5: frontier tightness", worst <= 1e-4,
@@ -173,7 +174,7 @@ def test_criterion_07_lower_bound():
     # near-extremal case: almost all surplus realized, almost none to buyers
     F = mg.TruncatedPareto(alpha=1.001, k=1e3)
     cost = mg.IsoElasticCost(eta=2.0)
-    Mb = mg.bayes_optimal_mechanism(F, cost, n_grid=8000)
+    Mb = mg.bayes_optimal_mechanism(F, cost)
     rep = mg.full_report(F, Mb, cost)
     total = rep.pi_ratio + rep.u_ratio
     edge_ok = abs(total - 0.5) < 0.01 * 0.5 and rep.u_ratio < 1e-2
@@ -183,17 +184,19 @@ def test_criterion_07_lower_bound():
                     f"edge U/S {rep.u_ratio:.2e}")
 
 
-def test_bayes_shares_do_not_depend_on_grid():
+def test_bayes_shares_do_not_depend_on_grid(monkeypatch):
     """The ironing grid only finds the intervals; their ends and constants
-    are solved exactly, so Pi/S and U/S agree across n_grid."""
+    are solved exactly, so Pi/S and U/S agree across grid sizes."""
     cost = mg.IsoElasticCost(eta=2.0)
     worst = 0.0
     for i in range(60):
         ref = _mixture_report(2.0, i)
         for n_grid in (1000, 10_000):
             F = _MIXTURES[i]
-            rep = mg.full_report(
-                F, mg.bayes_optimal_mechanism(F, cost, n_grid=n_grid), cost)
+            with monkeypatch.context() as m:
+                m.setattr(screening, "_N_GRID", n_grid)
+                rep = mg.full_report(
+                    F, mg.bayes_optimal_mechanism(F, cost), cost)
             worst = max(worst, abs(rep.pi_ratio - ref.pi_ratio),
                         abs(rep.u_ratio - ref.u_ratio))
     assert _verdict("grid independence on 60 mixtures", worst <= 1e-9,
@@ -221,7 +224,7 @@ def test_criterion_08_eta2_boundary():
     overlays += [mg.Power(alpha=a) for a in (0.5, 1.0, 2.0, 4.0)]
     verdicts = []
     for F in overlays:
-        M = mg.bayes_optimal_mechanism(F, cost, n_grid=3000)
+        M = mg.bayes_optimal_mechanism(F, cost)
         rep = mg.full_report(F, M, cost)
         verdicts.append(mg.eta2_membership(rep.u_ratio, rep.pi_ratio,
                                            tol=1e-6))

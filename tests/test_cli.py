@@ -1,10 +1,12 @@
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from markup_guarantee.cli import main
+from markup_guarantee.cli import build_parser, main
 
 
 def run(args):
@@ -81,6 +83,13 @@ class TestBoundary:
                                 for line in verdicts)
         body = (tmp_path / "boundary.csv").read_text()
         assert "upper" in body and "lower" in body and "zero_cs" in body
+
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-5"])
+    def test_grid_below_two_is_config_error(self, tmp_path, capsys, grid):
+        assert run(["boundary", "--grid", grid, "--out", str(tmp_path)]) == 2
+        assert "--grid must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "boundary.csv").exists()
 
 
 class TestVerify:
@@ -165,7 +174,11 @@ class TestSweep:
         {"kind": "pareto", "alpha": float("inf")},
         {"kind": "discrete", "values": [1.0, 2.0, 3.0],
          "masses": [0.5, 0.0, 0.5]},
-    ], ids=["power-nan", "pareto-inf", "discrete-zero-mass"])
+        {"kind": "mixture", "weights": [1.0, 0.0],
+         "components": [{"kind": "uniform", "a": 0.0, "b": 1.0},
+                        {"kind": "power", "alpha": 2.0}]},
+    ], ids=["power-nan", "pareto-inf", "discrete-zero-mass",
+            "mixture-zero-weight"])
     def test_invalid_law_is_config_error(self, tmp_path, capsys, spec):
         cfg = write_cfg(tmp_path, "s.json", {
             "version": 1, "eta": 2.0, "mechanism": "bayes_optimal",
@@ -209,3 +222,71 @@ def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
     assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "overflows float64" in err
+
+
+@pytest.mark.parametrize("argv, cfg, field", [
+    (["oracle"], {"eta": 2.0}, "values"),
+    (["oracle"], {"eta": 2.0, "values": [1.0, 2.0]}, "masses"),
+    (["verify"], {"scenario": "convex_cost",
+                  "cost": {"kind": "poly_cost", "eta_bar": 4.0}}, "coeffs"),
+    (["verify"], {"scenario": "convex_cost",
+                  "cost": {"coeffs": [0.0, 0.0, 0.5]}}, "kind"),
+    (["verify"], {"scenario": "quantity",
+                  "model": {"kind": "separable_quantity"}}, "eta"),
+], ids=["oracle-values", "oracle-masses", "poly-cost-coeffs", "cost-kind",
+        "quantity-eta"])
+def test_missing_spec_field_is_config_error(tmp_path, capsys, argv, cfg,
+                                            field):
+    path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
+    assert run([*argv, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(field) in err
+
+
+# the flags each subcommand reads, and so accepts
+_FLAGS = {
+    "guarantee": {"--eta", "--config", "--out", "--tol", "--format"},
+    "frontier": {"--eta", "--out", "--grid"},
+    "boundary": {"--out", "--grid"},
+    "verify": {"--eta", "--config", "--out", "--tol"},
+    "oracle": {"--eta", "--config", "--out"},
+    "procure": {"--eta", "--out", "--side"},
+    "sweep": {"--eta", "--config", "--out", "--format"},
+}
+_SHARED = {"--eta", "--config", "--out", "--tol", "--grid", "--format"}
+_REQUIRED = {"procure": ["--side", "quality"]}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                            capsys.readouterr().out))
+    assert listed == _FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (c, f) for c, flags in _FLAGS.items() for f in _SHARED - flags))
+def test_flag_a_subcommand_ignores_is_rejected(capsys, command, flag):
+    argv = [command, *_REQUIRED.get(command, []), flag, "1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
+def _readme_commands():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), flags=re.S)
+    return [shlex.split(line, comments=True)
+            for block in blocks for line in block.splitlines()
+            if line.startswith("markup-guarantee ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == set(_FLAGS)
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]

@@ -90,6 +90,8 @@ def test_truncated_pareto_atom():
     assert F.atoms() == ((100.0, 1e-4),)
     assert F.cdf(100.0) == 1.0
     assert F.cdf(99.999) < 1.0
+    # 50^-1000 underflows to 0, and a zero mass is no atom
+    assert TruncatedPareto(alpha=1000.0, k=50.0).atoms() == ()
 
 
 def test_tail_condition_boundary():
@@ -191,7 +193,7 @@ def _acceptance_family(n, seed=20260823):
 
 
 def _grid(n=2000):
-    """The quantile levels `iron` asks for at n_grid = n."""
+    """The quantile levels `iron` asks for on a grid of n (2000, its own)."""
     eps = 1e-6 / n
     return np.linspace(eps, 1.0 - eps, n)
 

@@ -152,7 +152,7 @@ class TestProfitAndSurplus:
         # Pi = 13/12 and U = 5/12
         for M, pi, u, n_evals, n_surv in (
                 (guarantee_mechanism(2.0), 0.25, 0.5, 42, 0),
-                (bayes_optimal_mechanism(F, cost, n_grid=2000), 0.65, 0.25,
+                (bayes_optimal_mechanism(F, cost), 0.65, 0.25,
                  105, 1)):
             evals.clear()
             surv_calls.clear()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
+from markup_guarantee import screening
 from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             PointMass, Power, TruncatedPareto,
                                             Uniform)
@@ -87,7 +88,7 @@ class TestVirtualValue:
 
 class TestIroning:
     def test_regular_distribution_untouched(self):
-        curve = iron(Uniform(0.0, 1.0), n_grid=2000)
+        curve = iron(Uniform(0.0, 1.0))
         assert curve.ironed_intervals == ()
         v = np.linspace(0.05, 0.95, 9)
         np.testing.assert_allclose(curve.phi_bar(v), 2 * v - 1, atol=1e-10)
@@ -95,7 +96,7 @@ class TestIroning:
     def test_matches_qhull_oracle_on_bimodal_mixture(self):
         F = Mixture(components=(Uniform(0.0, 1.0), Uniform(0.0, 0.2)),
                     weights=(0.5, 0.5))
-        curve = iron(F, n_grid=10_000)
+        curve = iron(F)
         assert len(curve.ironed_intervals) == 1
         v, oracle = qhull_ironed_values(F, n_grid=10_000)
         mine = np.asarray(curve.phi_bar(v), dtype=float)
@@ -111,7 +112,7 @@ class TestIroning:
     def test_ironed_value_is_nondecreasing(self):
         F = Mixture(components=(Power(alpha=4.0), Uniform(0.0, 0.3)),
                     weights=(0.6, 0.4))
-        curve = iron(F, n_grid=8000)
+        curve = iron(F)
         v = np.linspace(0.01, 0.99, 500)
         pb = np.asarray(curve.phi_bar(v), dtype=float)
         assert np.all(np.diff(pb) >= -1e-9)
@@ -122,7 +123,7 @@ class TestIroning:
         F = Mixture(components=(Uniform(0.0, 1.0), Uniform(0.0, 0.2)),
                     weights=(0.5, 0.5))
         cost = IsoElasticCost(eta=2.0)
-        M = bayes_optimal_mechanism(F, cost, n_grid=8000)
+        M = bayes_optimal_mechanism(F, cost)
         curve = M.virtual_curve
         v = np.linspace(1e-4, 1.0 - 1e-4, 4001)
         f = np.asarray(F.pdf(v), dtype=float)
@@ -141,7 +142,7 @@ class TestIroning:
         F = Mixture(components=(Uniform(0.0, 2.0), PointMass(1.0)),
                     weights=(0.5, 0.5))
         cost = IsoElasticCost(eta=2.0)
-        M = bayes_optimal_mechanism(F, cost, n_grid=3000)
+        M = bayes_optimal_mechanism(F, cost)
         curve = M.virtual_curve
         r6 = math.sqrt(6.0)
         assert len(curve.ironed_intervals) == 1
@@ -169,10 +170,10 @@ class TestIroning:
 
     def test_top_atom_becomes_terminal_segment(self):
         F = TruncatedPareto(alpha=2.0, k=50.0)
-        curve = iron(F, n_grid=4000)
+        curve = iron(F)
         assert float(np.asarray(curve.phi_bar(50.0))) == pytest.approx(50.0)
 
-    def test_narrow_interval_at_density_jump(self):
+    def test_narrow_interval_at_density_jump(self, monkeypatch):
         # the end of Uniform(0, 0.8774...) inside the other components'
         # support starts a sub-cell ironed interval; its exact ends and
         # constant do not depend on the grid
@@ -183,22 +184,24 @@ class TestIroning:
                              0.0706327910729948))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coarse = iron(F, n_grid=2000).ironed_intervals
-            fine = iron(F, n_grid=8000).ironed_intervals
+            coarse = iron(F).ironed_intervals
+            monkeypatch.setattr(screening, "_N_GRID", 8000)
+            fine = iron(F).ironed_intervals
         assert len(coarse) == len(fine)
         np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-12)
         assert coarse[0][:2] == pytest.approx(
             (0.87694178533102, 0.87792565682834), abs=1e-13)
 
-    def test_small_density_drop_starts_an_interval(self):
+    def test_small_density_drop_starts_an_interval(self, monkeypatch):
         # at 1/2 the density drops by 0.2%: phi = 2v - 1/(1+w) below and
         # 2v - 1 above, a jump smaller than phi moves across one cell at
-        # n_grid = 1000, so the knot can be a vertex of the grid's hull;
+        # a grid of 1000 quantiles, so the knot can be a vertex of its hull;
         # the drop still starts an interval of width w / (2 (1 + w))
         w = 0.001
         F = Mixture(components=(Uniform(0.0, 1.0), Uniform(0.0, 0.5)),
                     weights=(1.0 - w, w))
-        (a, b, lam), = iron(F, n_grid=1000).ironed_intervals
+        monkeypatch.setattr(screening, "_N_GRID", 1000)
+        (a, b, lam), = iron(F).ironed_intervals
         assert a < 0.5 < b
         assert b - a == pytest.approx(w / (2.0 * (1.0 + w)), abs=1e-12)
         np.testing.assert_allclose(virtual_value(F, [a, b]), [lam, lam],
@@ -216,7 +219,7 @@ class TestIroning:
         # about 3e-3 on the first law), where q(a) - q(b) = 1 - sf(b)
         # cancels; its slope is (R(a) - R(b)) / (F(b-) - F(a-)) to 2 ulps
         atoms = dict(F.atoms())
-        a, b, lam = iron(F, n_grid=3000).ironed_intervals[0]
+        a, b, lam = iron(F).ironed_intervals[0]
         R = lambda p: p * (float(F.sf(p)) + atoms.get(p, 0.0))
         below = lambda p: float(F.cdf(p)) - atoms.get(p, 0.0)
         assert float(F.sf(b)) > 0.5
@@ -229,7 +232,7 @@ class TestBayesOptimal:
         # phi(v) = v/2 for alpha = 2... use alpha = 3: phi = 2v/3, Q = 2v/3
         F = Pareto(3.0)
         cost = IsoElasticCost(eta=2.0)
-        M = bayes_optimal_mechanism(F, cost, n_grid=3000)
+        M = bayes_optimal_mechanism(F, cost)
         v = np.array([1.5, 4.0, 20.0])
         np.testing.assert_allclose(M.Q(v), 2.0 * v / 3.0, rtol=1e-6)
 
@@ -237,7 +240,7 @@ class TestBayesOptimal:
         # phi = 2v - 1 crosses zero at 1/2
         F = Uniform(0.0, 1.0)
         cost = IsoElasticCost(eta=2.0)
-        M = bayes_optimal_mechanism(F, cost, n_grid=3000)
+        M = bayes_optimal_mechanism(F, cost)
         assert float(np.asarray(M.Q(0.4))) == 0.0
         assert float(np.asarray(M.Q(0.75))) == pytest.approx(0.5, abs=1e-6)
         assert any(abs(b - 0.5) < 1e-6 for b in M.breakpoints)
@@ -251,7 +254,7 @@ class TestBayesOptimal:
         cost = IsoElasticCost(eta=2.0)
         for F in (Uniform(0.0, 1.0), Power(alpha=2.0),
                   TruncatedPareto(alpha=3.0, k=30.0)):
-            Mb = bayes_optimal_mechanism(F, cost, n_grid=3000)
+            Mb = bayes_optimal_mechanism(F, cost)
             Pi_b, _ = mechanism_profit(F, Mb, cost)
             Pi_g, _ = mechanism_profit(F, guarantee_mechanism(2.0), cost)
             assert Pi_b >= Pi_g - 1e-8
@@ -276,8 +279,7 @@ class TestBayesOptimal:
 
     def test_markup_curve_matches_inverse_hazard(self):
         F = Pareto(3.0)
-        cost = IsoElasticCost(eta=2.0)
-        markup = bayes_markup_curve(F, cost, curve=iron(F, n_grid=2000))
+        markup = bayes_markup_curve(F)
         # (1-F)/(f v) = 1/alpha for Pareto
         assert float(np.asarray(markup(5.0))) == pytest.approx(1.0 / 3.0,
                                                                rel=1e-9)

@@ -12,6 +12,9 @@ one stacked expectation in `full_report` with Q and T evaluated once per
 node.  A menu without T is reported by the envelope identity,
     Pi = E[v Q(v) - c(Q(v))] - U,    U = int_0^vbar Q(v) (1 - F(v)) dv,
 and `full_report` computes U once and passes it to `mechanism_profit`.
+
+The quantity report under a uniform price p* is one stacked expectation
+of int_1^inf D dp, D(v, p*)(p* - 1) and int_{p*}^inf D dp.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
 
     Segments that touch are integrated in one call; the gaps between runs
     of them, where g f is 0, are skipped.  Returns (value, error_estimate),
-    arrays with one entry per row when g returns a (k, n) stack.
+    arrays with one entry per row when g returns a (k, n) stack.  Raises
+    ValueError when g is not finite at an atom, where the sum would be inf
+    or NaN.
     """
     value = 0.0
     err = 0.0
@@ -100,7 +105,13 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
         err += run_err
     if F.atoms():
         locs, masses = np.array(F.atoms()).T
-        atom_sum = np.asarray(g(locs), dtype=float) @ masses
+        at_atoms = np.asarray(g(locs), dtype=float)
+        finite = np.isfinite(at_atoms).reshape(-1, locs.size).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"the integrand is not finite at the atom v = "
+                             f"{float(locs[~finite][0])!r}: a term there "
+                             "passes the float64 limit (about 1.8e308)")
+        atom_sum = at_atoms @ masses
         value = value + (atom_sum if np.ndim(atom_sum) else float(atom_sum))
     if np.ndim(value) and not np.ndim(err):
         err = np.zeros_like(value)      # atoms only: the sum is exact
@@ -248,30 +259,18 @@ def full_report(F: ValueDistribution, M: DirectMechanism, cost) -> SurplusReport
 def quantity_surplus_report(F: ValueDistribution, model, p_star: float) -> SurplusReport:
     """Surplus report for quantity discrimination under a uniform price.
 
-    Profit per value is D(v, p*)(p* - 1); efficient surplus integrates
-    demand above the unit cost; consumer surplus is the usual triangle
-    int_{p*}^inf D(v, p) dp.
+    Per value, with unit cost 1: S = int_1^inf D(v, p) dp, Pi = D(v, p*)
+    (p* - 1) and U = int_{p*}^inf D(v, p) dp, one stacked expectation with
+    one `model.surplus_above` call per surplus row and integrand call.
     """
-    def s_of_v(v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if hasattr(model, "efficient_surplus_per_value"):
-            return model.efficient_surplus_per_value(v_arr)
-        return np.array([model.surplus_per_value(x) for x in v_arr])
-
-    def pi_of_v(v):
+    def rows(v):
         v_arr = np.asarray(v, dtype=float)
-        return np.asarray(model.demand(v_arr, p_star), dtype=float) * (p_star - 1.0)
+        demand = np.asarray(model.demand(v_arr, p_star), dtype=float)
+        return np.stack([model.surplus_above(v_arr, 1.0),
+                         demand * (p_star - 1.0),
+                         model.surplus_above(v_arr, p_star)])
 
-    def u_of_v(v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.array([
-            adaptive_quad(lambda p: model.demand(x, p), p_star,
-                          math.inf).value
-            for x in v_arr])
-
-    S, err_S = expectation(F, s_of_v)
+    (S, Pi, U), (err_S, err_Pi, err_U) = expectation(F, rows)
     _require_positive_surplus(S)
-    Pi, err_Pi = expectation(F, pi_of_v)
-    U, err_U = expectation(F, u_of_v)
     return SurplusReport(S=S, Pi=Pi, U=U, pi_ratio=Pi / S, u_ratio=U / S,
                          err_S=err_S, err_Pi=err_Pi, err_U=err_U)

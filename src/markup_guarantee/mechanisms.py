@@ -67,11 +67,11 @@ class DirectMechanism:
 
 @dataclass(frozen=True)
 class IndirectTariff:
-    """Marginal price schedule p(q) with total payment P(q) = int_0^q p."""
+    """Marginal price schedule p(q) and total payment P(q), which is
+    int_0^q p when the menu charges the envelope transfer."""
 
     p: Callable
     P: Callable
-    q_range: tuple = (0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,8 @@ def envelope_transfer(Q, v, breakpoints=()):
 
 
 def marginal_price(M: DirectMechanism, v_hi=None) -> IndirectTariff:
-    """Indirect tariff p(q) = Q^{-1}(q) by monotone inversion.
+    """Indirect tariff p(q) = Q^{-1}(q) by monotone inversion, and the
+    payment P(q) = T(p(q)), the menu's transfer at the type that buys q.
 
     Q must be strictly increasing and continuous on the queried range; flat
     segments (ironed menus) raise on inversion rather than inventing prices
@@ -166,10 +167,8 @@ def marginal_price(M: DirectMechanism, v_hi=None) -> IndirectTariff:
         return out if np.ndim(q) else float(out[0])
 
     def P(q):
-        q = float(q)
-        if q <= 0:
-            return 0.0
-        return adaptive_quad(lambda s: np.asarray(p(s), dtype=float), 0.0, q).value
+        # Young's identity: int_0^{Q(v)} Q^{-1} = v Q(v) - int_0^v Q = T(v)
+        return float(M.transfer(p(q)))
 
     return IndirectTariff(p=p, P=P)
 

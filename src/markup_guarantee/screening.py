@@ -55,6 +55,11 @@ def virtual_value(F: ValueDistribution, v):
         raise AtomError("virtual value is undefined at a mass point")
     f = np.asarray(F.pdf(v_arr), dtype=float)
     if np.any(f <= 0.0):
+        # a density segment with survival left has a positive density
+        for x in np.atleast_1d(v_arr)[np.atleast_1d(f <= 0.0)]:
+            if F.sf(x) > 0 and any(a <= x <= b for a, b in F.density_segments()):
+                raise ValueError(f"the density underflows float64 at v = "
+                                 f"{float(x)!r}, where P(V > v) > 0")
         raise ValueError("virtual value needs a positive density at v")
     return v_arr - np.asarray(F.sf(v_arr), dtype=float) / f
 

@@ -2,7 +2,10 @@
 
 Quality discrimination uses convex costs (iso-elastic or general convex with
 a declared elasticity bound); quantity discrimination uses concave buyer
-utilities with linear production cost normalized to 1.
+utilities with linear production cost normalized to 1.  Each demand model
+states its surplus above a price, int_p^inf D(v, s) ds, for an array of
+values: the separable model in closed form, the nonlinear model in one
+quadrature whose stack has a row per value.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ __all__ = [
     "NonlinearDemandModel",
     "pointwise_elasticity",
     "efficient_quality",
-    "demand",
-    "demand_elasticity",
     "cost_from_spec",
     "quantity_model_from_spec",
 ]
@@ -256,22 +257,28 @@ class SeparableQuantityUtility:
     def eta_bar(self):
         return self.eta
 
-    def efficient_surplus_per_value(self, v):
-        """max_q h(v,q) - q = -v^{-eta} / (eta+1)."""
+    def surplus_above(self, v, p):
+        """int_p^inf D(v, s) ds = -v^{-eta} p^{eta+1} / (eta+1)."""
         v = np.asarray(v, dtype=float)
-        return -(v ** -self.eta) / (self.eta + 1.0)
+        p = np.asarray(p, dtype=float)
+        e = self.eta
+        return -(v ** -e) * p ** (e + 1.0) / (e + 1.0)
 
     def to_spec(self):
         return {"kind": "separable_quantity", "eta": self.eta}
+
+
+# the prices p >= 1 (= marginal cost) on which check_band probes the band
+_BAND_PRICES = np.geomspace(1.0, 1e3, 64)
 
 
 @dataclass(frozen=True)
 class NonlinearDemandModel:
     """Quantity-side demand D(v,p) = h_q^{-1}(v,p) with a band on elasticity.
 
-    Either supply h (gross utility, concave in q) and let demand be obtained
-    by monotone inversion, or supply D directly.  eta_fn may be omitted, in
-    which case elasticities come from central differences in p.
+    Either supply the marginal utility h_q (decreasing in q) and let demand
+    be obtained by monotone inversion, or supply D directly.  Elasticities
+    come from central differences in p.
 
     The elasticity band eta(v,p) in [eta_bar - 1, eta_bar] is enforced on a
     probe grid over p >= 1 only (= marginal cost).
@@ -279,9 +286,7 @@ class NonlinearDemandModel:
 
     eta_bar: float
     D: Optional[Callable] = None
-    h: Optional[Callable] = None
     h_q: Optional[Callable] = None
-    eta_fn: Optional[Callable] = None
 
     def __post_init__(self):
         if self.eta_bar >= -1.0:
@@ -301,8 +306,6 @@ class NonlinearDemandModel:
         return _monotone_root(g, -p_arr, lo=1e-12)
 
     def elasticity(self, v, p):
-        if self.eta_fn is not None:
-            return np.asarray(self.eta_fn(v, p), dtype=float)
         p = np.asarray(p, dtype=float)
         step = np.maximum(1e-6, 1e-6 * p)
         d_hi = self.demand(v, p + step)
@@ -310,15 +313,10 @@ class NonlinearDemandModel:
         d_mid = self.demand(v, p)
         return (d_hi - d_lo) / (2.0 * step) * p / d_mid
 
-    def check_band(self, v_grid, p_grid=None):
+    def check_band(self, v_grid):
         """Verify the elasticity band and monotonicity on a probe grid."""
-        if p_grid is None:
-            p_grid = np.geomspace(1.0, 1e3, 64)
-        p_grid = np.asarray(p_grid, dtype=float)
-        if np.any(p_grid < 1.0):
-            raise ValueError("the band is only enforced on p >= 1")
         for v in np.atleast_1d(v_grid):
-            e = np.asarray(self.elasticity(v, p_grid), dtype=float)
+            e = np.asarray(self.elasticity(v, _BAND_PRICES), dtype=float)
             if np.any(e >= 0):
                 raise CostValidationError("demand elasticity must be negative")
             if np.any(e > self.eta_bar + 1e-8) or np.any(e < self.eta_bar - 1.0 - 1e-8):
@@ -328,18 +326,14 @@ class NonlinearDemandModel:
                 raise CostValidationError(
                     "demand elasticity must be non-increasing in p")
 
-    def surplus_per_value(self, v):
-        """Efficient surplus for type v: integral of demand above cost."""
-        return adaptive_quad(lambda p: self.demand(v, p), 1.0, math.inf).value
-
-
-def demand(model, v, p):
-    """D(v, p); works for both separable and nonlinear demand models."""
-    return model.demand(v, p)
-
-
-def demand_elasticity(model, v, p):
-    return model.elasticity(v, p)
+    def surplus_above(self, v, p):
+        """int_p^inf D(v, s) ds for every value in v: one quadrature over
+        [p, inf) on a stack with a row per value, so the rows share panels.
+        Returns an array shaped like v."""
+        v = np.asarray(v, dtype=float)
+        rows = adaptive_quad(lambda s: self.demand(v.reshape(-1, 1), s),
+                             p, math.inf).value
+        return np.reshape(rows, v.shape)
 
 
 def cost_from_spec(spec: dict):

@@ -224,6 +224,28 @@ def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
     assert "config error" in err and "overflows float64" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    # mass 1e-300 at v = 1e300, where the menu's margin v Q - c(Q) is
+    # inf - inf
+    ({"kind": "truncated_pareto", "alpha": 1.0, "k": 1e300},
+     "not finite at the atom v = 1e+300"),
+    # the density is 0.0 in float64 where P(V > v) > 0: past about 3.7e66,
+    # and everywhere in (0, 1)
+    ({"kind": "truncated_pareto", "alpha": 4.0, "k": 1e300},
+     "density underflows float64"),
+    ({"kind": "power", "alpha": 1e20}, "density underflows float64"),
+], ids=["top-atom-overflow", "pareto-density-underflow",
+        "power-density-underflow"])
+def test_law_past_float64_is_config_error(tmp_path, capsys, spec, message):
+    path = write_cfg(tmp_path, "c.json", {
+        "version": 1, "eta": 2.0, "mechanism": "bayes_optimal",
+        "battery": [spec]})
+    assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("argv, cfg, field", [
     (["oracle"], {"eta": 2.0}, "values"),
     (["oracle"], {"eta": 2.0, "values": [1.0, 2.0]}, "masses"),

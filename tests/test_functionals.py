@@ -15,7 +15,8 @@ from markup_guarantee.functionals import (InfiniteSurplusError, SurplusReport,
                                           survival_integral)
 from markup_guarantee.guarantees import consumer_share, guarantee_ratio
 from markup_guarantee.mechanisms import DirectMechanism, guarantee_mechanism
-from markup_guarantee.technology import (IsoElasticCost, PolynomialCost,
+from markup_guarantee.technology import (IsoElasticCost,
+                                         NonlinearDemandModel, PolynomialCost,
                                          SeparableQuantityUtility)
 
 
@@ -294,3 +295,54 @@ class TestQuantityReport:
         assert rep.S == pytest.approx(1.0, abs=1e-9)
         assert rep.Pi == pytest.approx(0.25, abs=1e-9)
         assert rep.U == pytest.approx(0.5, abs=1e-9)
+
+    # D = 2v / (p^2 (1 + p)) makes every row v times a constant:
+    # int_1^inf D dp = 2v (1 - ln 2), D(v, 2) = v/6 and
+    # int_2^inf D dp = v (1 + 2 ln(2/3)), so the shares hold for every law
+    NONLINEAR = NonlinearDemandModel(
+        eta_bar=-2.0,
+        D=lambda v, p: 2.0 * np.asarray(v, dtype=float) / (
+            np.asarray(p, dtype=float) ** 2 * (1.0 + np.asarray(p, dtype=float))))
+    NONLINEAR_LAWS = {
+        "uniform": (Uniform(0.5, 2.0), 1.25),
+        "point-mass": (PointMass(1.0), 1.0),
+        "uniform-and-atom": (Mixture((Uniform(0.5, 2.0), PointMass(3.0)),
+                                    (0.6, 0.4)), 1.95),
+    }
+
+    @pytest.mark.parametrize("law", sorted(NONLINEAR_LAWS))
+    def test_nonlinear_shares_match_closed_forms(self, law):
+        F, mean = self.NONLINEAR_LAWS[law]
+        rep = quantity_surplus_report(F, self.NONLINEAR, p_star=2.0)
+        s_per_v = 2.0 * (1.0 - math.log(2.0))
+        pi = (1.0 / 6.0) / s_per_v
+        u = (1.0 + 2.0 * math.log(2.0 / 3.0)) / s_per_v
+        assert abs(rep.S - s_per_v * mean) <= 10.0 * rep.err_S + 1e-15 * rep.S
+        assert (abs(rep.pi_ratio - pi)
+                <= 10.0 * (rep.err_Pi + pi * rep.err_S) / rep.S + 1e-15)
+        assert (abs(rep.u_ratio - u)
+                <= 10.0 * (rep.err_U + u * rep.err_S) / rep.S + 1e-15)
+
+    def test_one_inner_quadrature_per_surplus_row_per_call(self, monkeypatch):
+        import markup_guarantee.functionals as fn
+        import markup_guarantee.technology as tech
+        quad = fn.adaptive_quad
+        outer_calls, inner_calls = [], []
+
+        def counting_outer(f, a, b, **kw):
+            def counted(v):
+                outer_calls.append(np.size(v))
+                return f(v)
+            return quad(counted, a, b, **kw)
+
+        def counting_inner(f, a, b, **kw):
+            inner_calls.append(1)
+            return quad(f, a, b, **kw)
+
+        monkeypatch.setattr(fn, "adaptive_quad", counting_outer)
+        monkeypatch.setattr(tech, "adaptive_quad", counting_inner)
+        F, _ = self.NONLINEAR_LAWS["uniform-and-atom"]
+        quantity_surplus_report(F, self.NONLINEAR, p_star=2.0)
+        assert outer_calls and min(outer_calls) > 1
+        # two surplus rows per integrand call, and per call on the atoms
+        assert len(inner_calls) == 2 * (len(outer_calls) + 1)

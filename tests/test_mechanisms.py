@@ -71,6 +71,15 @@ def test_marginal_price_inverts_allocation():
     assert tariff.P(1.0) == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
+def test_tariff_payment_is_the_transfer(eta):
+    # Q(v) = (v/eta)^{1/(eta-1)}, so p(q) = eta q^{eta-1} and P(q) = q^eta
+    tariff = marginal_price(guarantee_mechanism(eta))
+    assert tariff.P(0.0) == 0.0
+    for q in (0.25, 1.0, 3.0):
+        assert tariff.P(q) == pytest.approx(q ** eta, rel=1e-12, abs=0.0)
+
+
 def test_marginal_price_rejects_quantity_gap():
     step = DirectMechanism(
         Q=lambda v: np.where(np.asarray(v, dtype=float) < 1.0, 0.5, 2.0))

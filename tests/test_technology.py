@@ -11,7 +11,7 @@ from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
                                          NonlinearDemandModel, PolynomialCost,
                                          RootFindError,
                                          SeparableQuantityUtility,
-                                         cost_from_spec, demand_elasticity,
+                                         cost_from_spec,
                                          efficient_quality,
                                          pointwise_elasticity,
                                          quantity_model_from_spec)
@@ -148,7 +148,7 @@ class TestQuantitySide:
         m = SeparableQuantityUtility(eta=-2.0)
         # D(v, p) = (p/v)^eta = (v/p)^2
         assert float(m.demand(2.0, 4.0)) == pytest.approx(0.25)
-        assert demand_elasticity(m, 1.0, 3.0) == -2.0
+        assert m.elasticity(1.0, 3.0) == -2.0
 
     def test_separable_marginal_utility_inverts_demand(self):
         m = SeparableQuantityUtility(eta=-3.0)
@@ -159,7 +159,7 @@ class TestQuantitySide:
     def test_efficient_surplus_per_value(self):
         m = SeparableQuantityUtility(eta=-2.0)
         # -v^2/(eta+1) with eta = -2 gives v^2
-        assert float(m.efficient_surplus_per_value(3.0)) == pytest.approx(9.0)
+        assert float(m.surplus_above(3.0, 1.0)) == pytest.approx(9.0)
 
     def test_nonlinear_band_check_passes_for_drifting_elasticity(self):
         D = lambda v, p: 2.0 * np.asarray(v, dtype=float) / (

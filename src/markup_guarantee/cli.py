@@ -20,10 +20,9 @@ from . import __version__
 from .distributions import (Binary, PointMass, Power, TruncatedPareto,
                             Uniform, _spec_field, distribution_from_spec)
 from .functionals import InfiniteSurplusError, full_report
-from .guarantees import (consumer_share, eta2_boundary, eta2_membership,
-                         feasible_beta_interval, frontier,
-                         frontier_attaining_shape, guarantee_ratio,
-                         holder_audit, procurement_quality,
+from .guarantees import (boundary, consumer_share, feasible_beta_interval,
+                         frontier, frontier_attaining_shape, guarantee_ratio,
+                         holder_audit, membership, procurement_quality,
                          procurement_quantity,
                          verify_convex_cost_guarantee, verify_lower_bound,
                          verify_procurement_quality,
@@ -250,18 +249,13 @@ def cmd_boundary(args):
     n = args.grid
     if n < 2:
         raise ConfigError("--grid must be at least 2")
-    rows = []
-    alphas_up = np.geomspace(2.0, 200.0, n)
-    for a in alphas_up:
-        pt = eta2_boundary(float(a))
-        rows.append([f"{pt.alpha:.17g}", f"{pt.beta:.17g}",
-                     f"{pt.u_over_s:.17g}", pt.branch])
-    alphas_lo = np.linspace(1.0, 2.0, n)
-    for a in alphas_lo:
-        pt = eta2_boundary(float(a))
-        rows.append([f"{pt.alpha:.17g}", f"{pt.beta:.17g}",
-                     f"{pt.u_over_s:.17g}", pt.branch])
-    for y in np.linspace(0.5, 1.0, n):
+    eta = 2.0
+    r = eta / (eta - 1.0)
+    upper = [boundary(float(a), eta) for a in np.geomspace(r, 100.0 * r, n)]
+    lower = [boundary(float(a), eta) for a in np.linspace(1.0, r, n)]
+    rows = [[f"{pt.alpha:.17g}", f"{pt.beta:.17g}", f"{pt.u_over_s:.17g}",
+             pt.branch] for pt in upper + lower]
+    for y in np.linspace(1.0 / eta, 1.0, n):
         rows.append(["inf", f"{y:.17g}", "0", "zero_cs"])
     path = _out_path(args.out, "boundary.csv")
     _write_csv(path, ["alpha", "beta", "u_over_s", "branch"], rows)
@@ -273,24 +267,24 @@ def cmd_boundary(args):
         ("binary", Binary(1.0, 2.0, 0.3)),
         ("power", Power(alpha=2.0)),
     ]
-    cost = IsoElasticCost(eta=2.0)
+    cost = IsoElasticCost(eta=eta)
     pts = []
     bad = []
     for name, F in overlays:
         M = bayes_optimal_mechanism(F, cost)
         rep = full_report(F, M, cost)
-        verdict = eta2_membership(rep.u_ratio, rep.pi_ratio, tol=1e-6)
+        verdict = membership(rep.u_ratio, rep.pi_ratio, eta, tol=1e-6)
         pts.append((rep.u_ratio, rep.pi_ratio, "firebrick", name))
         print(f"overlay {name}: (U/S, Pi/S) = ({rep.u_ratio:.6f}, "
               f"{rep.pi_ratio:.6f}) -> {verdict}")
         if verdict == "exterior":
             bad.append(name)
     curves = [
-        ([eta2_boundary(float(a)).u_over_s for a in alphas_up],
-         [eta2_boundary(float(a)).beta for a in alphas_up], "steelblue"),
-        ([eta2_boundary(float(a)).u_over_s for a in alphas_lo],
-         [eta2_boundary(float(a)).beta for a in alphas_lo], "darkorange"),
-        ([0.0, 0.0], [0.5, 1.0], "seagreen"),
+        ([pt.u_over_s for pt in upper], [pt.beta for pt in upper],
+         "steelblue"),
+        ([pt.u_over_s for pt in lower], [pt.beta for pt in lower],
+         "darkorange"),
+        ([0.0, 0.0], [1.0 / eta, 1.0], "seagreen"),
     ]
     svg_path = _out_path(args.out, "boundary.svg")
     with open(svg_path, "w") as fh:

@@ -44,6 +44,13 @@ def _finite(*params):
         raise ValueError("distribution parameters must be finite")
 
 
+def _require_spread(mass_past_one_spacing):
+    """Reject a law with all its mass too close to v = 1 for a quadrature."""
+    if not mass_past_one_spacing > 0.0:
+        raise ValueError("the density underflows float64 beyond one float64 "
+                         "spacing of v = 1, where all of the law's mass lies")
+
+
 class ValueDistribution:
     """Base class for buyer value laws F on [v_lo, v_hi] (v_hi may be inf)."""
 
@@ -107,6 +114,7 @@ class Pareto(ValueDistribution):
         _finite(self.alpha)
         if self.alpha <= 0:
             raise ValueError("Pareto shape must be positive")
+        _require_spread(math.nextafter(1.0, 2.0) ** -self.alpha)
 
     @property
     def support(self):
@@ -157,6 +165,7 @@ class TruncatedPareto(ValueDistribution):
             raise ValueError("shape must be positive")
         if self.k <= 1.0:
             raise ValueError("truncation point must exceed 1")
+        _require_spread(math.nextafter(1.0, 2.0) ** -self.alpha)
 
     @property
     def support(self):
@@ -284,6 +293,7 @@ class Power(ValueDistribution):
         _finite(self.alpha)
         if self.alpha <= 0:
             raise ValueError("power exponent must be positive")
+        _require_spread(math.nextafter(1.0, 0.0) ** self.alpha)
 
     @property
     def support(self):

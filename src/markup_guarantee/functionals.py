@@ -14,7 +14,8 @@ node.  A menu without T is reported by the envelope identity,
 and `full_report` computes U once and passes it to `mechanism_profit`.
 
 The quantity report under a uniform price p* is one stacked expectation
-of int_1^inf D dp, D(v, p*)(p* - 1) and int_{p*}^inf D dp.
+of int_1^inf D dp, D(v, p*)(p* - 1) and int_{p*}^inf D dp, with the inner
+quadrature errors of the two surplus rows as two more rows.
 """
 
 from __future__ import annotations
@@ -261,16 +262,19 @@ def quantity_surplus_report(F: ValueDistribution, model, p_star: float) -> Surpl
 
     Per value, with unit cost 1: S = int_1^inf D(v, p) dp, Pi = D(v, p*)
     (p* - 1) and U = int_{p*}^inf D(v, p) dp, one stacked expectation with
-    one `model.surplus_above` call per surplus row and integrand call.
+    one `model.surplus_above` call per surplus row and integrand call; the
+    errors of those rows are two more rows, added to err_S and err_U.
     """
     def rows(v):
         v_arr = np.asarray(v, dtype=float)
         demand = np.asarray(model.demand(v_arr, p_star), dtype=float)
-        return np.stack([model.surplus_above(v_arr, 1.0),
-                         demand * (p_star - 1.0),
-                         model.surplus_above(v_arr, p_star)])
+        s, err_s = model.surplus_above(v_arr, 1.0)
+        u, err_u = model.surplus_above(v_arr, p_star)
+        return np.stack([s, demand * (p_star - 1.0), u, err_s, err_u])
 
-    (S, Pi, U), (err_S, err_Pi, err_U) = expectation(F, rows)
+    (S, Pi, U, inner_S, inner_U), (err_S, err_Pi, err_U, _, _) = \
+        expectation(F, rows)
     _require_positive_surplus(S)
     return SurplusReport(S=S, Pi=Pi, U=U, pi_ratio=Pi / S, u_ratio=U / S,
-                         err_S=err_S, err_Pi=err_Pi, err_U=err_U)
+                         err_S=err_S + inner_S, err_Pi=err_Pi,
+                         err_U=err_U + inner_U)

@@ -35,8 +35,8 @@ __all__ = [
     "frontier_attaining_shape",
     "surplus_lower_bound",
     "verify_lower_bound",
-    "eta2_boundary",
-    "eta2_membership",
+    "boundary",
+    "membership",
     "holder_audit",
     "convex_cost_guarantee",
     "verify_convex_cost_guarantee",
@@ -160,57 +160,46 @@ def surplus_lower_bound(eta: float) -> float:
     return 1.0 / eta
 
 
-def eta2_boundary(alpha: float) -> FrontierPoint:
-    """Boundary of the quadratic-cost feasible set, parametrized by shape.
+def boundary(alpha: float, eta: float) -> FrontierPoint:
+    """Boundary of the feasible (U/S, Pi/S) set at cost elasticity eta,
+    parametrized by the Pareto shape alpha >= 1, with r = eta/(eta-1).
 
-    alpha in [2, inf): upper branch (2(alpha-1)/alpha^2, ((alpha-1)/alpha)^2);
-    alpha in [1, 2]: lower branch ((alpha-1)/alpha, 1/(2 alpha)).
+    alpha >= r: upper branch, the Bayes outcome under Pareto(alpha), with
+    beta = pareto_profit_ratio(alpha, eta) and U/S = frontier(beta, eta).
+    alpha in [1, r]: lower branch, the k -> inf limit of
+    TruncatedPareto(alpha, k): with t = 1 - 1/alpha, U/S = t^(r-1) and
+    beta = (alpha t^r + r - alpha)/r.  The branches meet at the guarantee
+    point at alpha = r; alpha = 1 gives (0, 1/eta).
     """
     if alpha < 1.0:
         raise ValueError("shape must be at least 1")
-    if alpha >= 2.0:
-        return FrontierPoint(beta=((alpha - 1.0) / alpha) ** 2,
-                             u_over_s=2.0 * (alpha - 1.0) / alpha ** 2,
+    r = eta / (eta - 1.0)
+    if alpha >= r:
+        beta = pareto_profit_ratio(alpha, eta)
+        return FrontierPoint(beta=beta, u_over_s=frontier(beta, eta),
                              alpha=alpha, branch="upper")
-    return FrontierPoint(beta=1.0 / (2.0 * alpha),
-                         u_over_s=(alpha - 1.0) / alpha,
-                         alpha=alpha, branch="lower")
+    t = 1.0 - 1.0 / alpha
+    return FrontierPoint(beta=(alpha * t ** r + r - alpha) / r,
+                         u_over_s=t ** (r - 1.0), alpha=alpha, branch="lower")
 
 
-def _eta2_upper_beta(x: float) -> float:
-    """Upper-branch beta at a given U/S = x in [0, 1/2]."""
-    if x == 0.0:
-        return 1.0
-    alpha = (1.0 + math.sqrt(1.0 - 2.0 * x)) / x
-    return ((alpha - 1.0) / alpha) ** 2
+def membership(x: float, y: float, eta: float, tol: float = 1e-9) -> str:
+    """Classify (U/S, Pi/S) = (x, y) against the feasible set at eta.
 
-
-def _eta2_lower_beta(x: float) -> float:
-    """Lower-branch beta at U/S = x: the line x + 2y = 1."""
-    return (1.0 - x) / 2.0
-
-
-def eta2_membership(x: float, y: float, tol: float = 1e-9) -> str:
-    """Classify (U/S, Pi/S) = (x, y) against the quadratic-cost feasible set.
-
-    Returns 'interior', 'boundary', or 'exterior'.  The set is bounded above
-    by the Pareto upper branch, below by the line x + 2y = 1, and on the
-    left by the zero-consumer-surplus segment x = 0, y in [1/2, 1].
+    Returns 'interior', 'boundary', or 'exterior'.  The set is bounded by the
+    Hoelder frontier x <= frontier(y), the lower branch of `boundary` (shape
+    alpha = 1/(1 - x^(eta-1)) at U/S = x), the segment x = 0, y in [1/eta, 1],
+    and the guarantee point's U/S, x <= consumer_share(eta).
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError("ratios must lie in [0,1]")
-    if x > 0.5 + tol:
+    x_tip = consumer_share(eta)
+    y_lo = boundary(1.0 / (1.0 - min(x, x_tip) ** (eta - 1.0)), eta).beta
+    x_hi = frontier(max(y, guarantee_ratio(eta)), eta)
+    if x > x_tip + tol or y < y_lo - tol or x > x_hi + tol:
         return "exterior"
-    x_eff = min(max(x, 0.0), 0.5)
-    y_hi = _eta2_upper_beta(x_eff)
-    y_lo = _eta2_lower_beta(x_eff)
-    if y > y_hi + tol or y < y_lo - tol:
-        return "exterior"
-    on_upper = abs(y - y_hi) <= tol
-    on_lower = abs(y - y_lo) <= tol
-    on_left = x <= tol and (y_lo - tol <= y <= y_hi + tol)
-    on_right_tip = abs(x - 0.5) <= tol
-    if on_upper or on_lower or on_left or on_right_tip:
+    if (abs(x - x_hi) <= tol or abs(y - y_lo) <= tol or x <= tol
+            or abs(x - x_tip) <= tol):
         return "boundary"
     return "interior"
 
@@ -265,7 +254,14 @@ def convex_cost_guarantee(eta_bar: float) -> float:
 
 
 def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
-    """Run the constant-markup mechanism and certify Pi >= bound * S."""
+    """Run the constant-markup mechanism and certify Pi >= bound * S.
+
+    A cost with c'(0) > 0 raises ValueError: the menu sells nothing to
+    PointMass(v), c'(0) < v <= c'(0)/z, while S > 0, so no bound holds."""
+    marginal_at_zero = float(cost.c_prime(0.0))
+    if marginal_at_zero > 0.0:
+        raise ValueError(f"the convex-cost guarantee needs c'(0) = 0; this "
+                         f"cost has c'(0) = {marginal_at_zero!r}")
     bound = convex_cost_guarantee(cost.eta_bar)
     markup = constant_markup_mechanism(cost)
     certs = []

@@ -1,10 +1,10 @@
 """Selling mechanisms: direct menus, indirect tariffs, and markup rules.
 
 A direct mechanism is a pair of evaluators (Q, T) over buyer values, with Q
-nondecreasing.  The guarantee menu states T in closed form: the envelope
-transfer of its Q.  The constant-markup menu states no T, and neither do the
-Bayes-optimal menus of screening.py; their transfers, when asked for, come
-from the envelope identity T(v) = v Q(v) - int_0^v Q(s) ds by quadrature.
+nondecreasing.  The iso-elastic constant-markup menu, the guarantee menu
+among them, states its envelope transfer c(Q)/z in closed form.  The
+root-solved markup menu and the Bayes-optimal menus of screening.py state no
+T; their transfers come from T(v) = v Q(v) - int_0^v Q(s) ds by quadrature.
 Either way the menu is incentive compatible.
 """
 
@@ -102,25 +102,13 @@ class UniformPriceMechanism:
 
 
 def guarantee_mechanism(eta: float) -> DirectMechanism:
-    """The distribution-free profit-guarantee menu.
+    """The distribution-free profit-guarantee menu: the constant-markup menu
+    of the iso-elastic cost c(q) = q^eta/eta at z = 1/eta.
 
-    Q(v) = (v / eta)^{1/(eta-1)}; the envelope transfer has the closed form
-    T(v) = z * p/(p+1) * v^{p+1} with p = 1/(eta-1), z = eta^{-1/(eta-1)}.
+    Q(v) = (v/eta)^{1/(eta-1)} and T(v) = c(Q(v))/z = (v/eta)^{eta/(eta-1)}.
     """
-    if eta <= 1.0:
-        raise ValueError("cost elasticity must exceed 1")
-    p = 1.0 / (eta - 1.0)
-    z = eta ** (-1.0 / (eta - 1.0))
-
-    def Q(v):
-        v = np.asarray(v, dtype=float)
-        return z * np.maximum(v, 0.0) ** p
-
-    def T(v):
-        v = np.asarray(v, dtype=float)
-        return z * (p / (p + 1.0)) * np.maximum(v, 0.0) ** (p + 1.0)
-
-    return DirectMechanism(Q=Q, T=T, label=f"guarantee(eta={eta:g})")
+    markup = constant_markup_mechanism(IsoElasticCost(eta), z=1.0 / eta)
+    return markup.mechanism
 
 
 def envelope_transfer(Q, v, breakpoints=()):
@@ -176,29 +164,35 @@ def marginal_price(M: DirectMechanism, v_hi=None) -> IndirectTariff:
 def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
     """Allocate q(v) with c'(q(v)) = z v, z = 1/(sqrt(eta_bar - 1) + 1).
 
-    The bound it certifies is derived for eta_bar >= 2; smaller bounds are
-    accepted with a warning.
+    The default z certifies a bound derived for eta_bar >= 2; below 2 it
+    warns.  Substituting s = c'(q)/z in the envelope identity gives
+    T(v) = c(Q(v))/z, which the iso-elastic menu states in closed form,
+    (z v)^r/(eta z) with r = eta/(eta-1).
     """
     eta_bar = cost.eta_bar
     if z is None:
         z = 1.0 / (math.sqrt(eta_bar - 1.0) + 1.0)
-    if eta_bar < 2.0:
-        import warnings
-        warnings.warn("constant-markup guarantee is derived for eta_bar >= 2",
-                      stacklevel=2)
+        if eta_bar < 2.0:
+            import warnings
+            warnings.warn("constant-markup guarantee is derived for "
+                          "eta_bar >= 2", stacklevel=2)
 
+    T = None
     if isinstance(cost, IsoElasticCost):
         p = 1.0 / (cost.eta - 1.0)
 
         def Q(v):
-            v = np.asarray(v, dtype=float)
-            return (z * np.maximum(v, 0.0)) ** p
+            return (z * np.maximum(np.asarray(v, dtype=float), 0.0)) ** p
+
+        def T(v):
+            zv = z * np.maximum(np.asarray(v, dtype=float), 0.0)
+            return zv ** (p + 1.0) / (cost.eta * z)
     else:
         def Q(v):
             return _positive_root(cost.c_prime, z * np.asarray(v, dtype=float),
                                   cost.c_double_prime)
 
-    mech = DirectMechanism(Q=Q, label=f"constant_markup(z={z:g})")
+    mech = DirectMechanism(Q=Q, T=T, label=f"constant_markup(z={z:g})")
     return MarkupMechanism(z=z, mechanism=mech)
 
 

@@ -3,9 +3,10 @@
 Quality discrimination uses convex costs (iso-elastic or general convex with
 a declared elasticity bound); quantity discrimination uses concave buyer
 utilities with linear production cost normalized to 1.  Each demand model
-states its surplus above a price, int_p^inf D(v, s) ds, for an array of
-values: the separable model in closed form, the nonlinear model in one
-quadrature whose stack has a row per value.
+states its surplus above a price, int_p^inf D(v, s) ds, and the error of
+that value, for an array of values: the separable model in closed form with
+error 0, the nonlinear model in one quadrature whose stack has a row per
+value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import _spec_field
-from .quadrature import adaptive_quad
+from .quadrature import QuadResult, adaptive_quad
 
 __all__ = [
     "CostValidationError",
@@ -258,11 +259,12 @@ class SeparableQuantityUtility:
         return self.eta
 
     def surplus_above(self, v, p):
-        """int_p^inf D(v, s) ds = -v^{-eta} p^{eta+1} / (eta+1)."""
+        """(value, 0) of int_p^inf D(v, s) ds = -v^{-eta} p^{eta+1}/(eta+1)."""
         v = np.asarray(v, dtype=float)
         p = np.asarray(p, dtype=float)
         e = self.eta
-        return -(v ** -e) * p ** (e + 1.0) / (e + 1.0)
+        value = -(v ** -e) * p ** (e + 1.0) / (e + 1.0)
+        return QuadResult(value, np.zeros_like(value))
 
     def to_spec(self):
         return {"kind": "separable_quantity", "eta": self.eta}
@@ -327,13 +329,13 @@ class NonlinearDemandModel:
                     "demand elasticity must be non-increasing in p")
 
     def surplus_above(self, v, p):
-        """int_p^inf D(v, s) ds for every value in v: one quadrature over
-        [p, inf) on a stack with a row per value, so the rows share panels.
-        Returns an array shaped like v."""
+        """(value, error) of int_p^inf D(v, s) ds for every value in v: one
+        quadrature over [p, inf) on a stack with a row per value, so the
+        rows share panels.  Both are shaped like v."""
         v = np.asarray(v, dtype=float)
         rows = adaptive_quad(lambda s: self.demand(v.reshape(-1, 1), s),
-                             p, math.inf).value
-        return np.reshape(rows, v.shape)
+                             p, math.inf)
+        return QuadResult(*(np.reshape(x, v.shape) for x in rows))
 
 
 def cost_from_spec(spec: dict):

@@ -204,13 +204,13 @@ def test_bayes_shares_do_not_depend_on_grid(monkeypatch):
 
 
 def test_criterion_08_eta2_boundary():
-    junction_upper = mg.eta2_boundary(2.0)
-    junction_lower = mg.eta2_boundary(2.0 - 1e-16)
+    junction_upper = mg.boundary(2.0, 2.0)
+    junction_lower = mg.boundary(2.0 - 1e-16, 2.0)
     agree = (abs(junction_upper.beta - junction_lower.beta) < 1e-15
              and abs(junction_upper.u_over_s - junction_lower.u_over_s) < 1e-15)
 
-    upper = [mg.eta2_boundary(a) for a in np.geomspace(2.0, 500.0, 50)]
-    lower = [mg.eta2_boundary(a) for a in np.linspace(1.0, 2.0, 50)]
+    upper = [mg.boundary(a, 2.0) for a in np.geomspace(2.0, 500.0, 50)]
+    lower = [mg.boundary(a, 2.0) for a in np.linspace(1.0, 2.0, 50)]
     up_mono = (all(p1.beta < p2.beta for p1, p2 in zip(upper, upper[1:]))
                and all(p1.u_over_s > p2.u_over_s
                        for p1, p2 in zip(upper, upper[1:])))
@@ -226,8 +226,8 @@ def test_criterion_08_eta2_boundary():
     for F in overlays:
         M = mg.bayes_optimal_mechanism(F, cost)
         rep = mg.full_report(F, M, cost)
-        verdicts.append(mg.eta2_membership(rep.u_ratio, rep.pi_ratio,
-                                           tol=1e-6))
+        verdicts.append(mg.membership(rep.u_ratio, rep.pi_ratio, 2.0,
+                                       tol=1e-6))
     no_exterior = all(v in ("interior", "boundary") for v in verdicts)
     ok = agree and up_mono and lo_mono and no_exterior
     assert _verdict("criterion 8: eta=2 boundary", ok,

@@ -212,6 +212,19 @@ def test_zero_surplus_is_config_error(tmp_path, capsys, argv, cfg):
     assert "efficient surplus" in capsys.readouterr().err
 
 
+def test_positive_marginal_cost_at_zero_is_config_error(tmp_path, capsys):
+    # the convex-cost bound assumes c'(0) = 0; c = q + q^2/2 breaks it
+    path = write_cfg(tmp_path, "c.json", {
+        "version": 1, "scenario": "convex_cost",
+        "cost": {"kind": "poly_cost", "coeffs": [0.0, 1.0, 0.5],
+                 "eta_bar": 2.0},
+        "battery": [{"kind": "point_mass", "v0": 1.5}]})
+    assert run(["verify", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "c'(0) = 0" in err
+    assert not (tmp_path / "certificates.jsonl").exists()
+
+
 @pytest.mark.parametrize("mechanism", ["guarantee", "bayes_optimal"])
 def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
     # at eta = 1.0001, S holds k^(r - alpha) = 1e6^9999.5: finite, but not a

@@ -158,6 +158,17 @@ def test_invalid_parameters_rejected_at_construction(build):
         build()
 
 
+def test_mass_within_one_float_spacing_of_one_rejected():
+    # past these shapes the density is 0.0 in float64 at every v but 1, so
+    # a quadrature sees no mass: reports used to give Pi = U = 0
+    for build in (lambda: Pareto(1e300), lambda: TruncatedPareto(1e300, 19.0),
+                  lambda: Power(1e300), lambda: Power(1e20)):
+        with pytest.raises(ValueError, match="density underflows float64"):
+            build()
+    # mass a float64 grid still resolves near 1 makes a law
+    Pareto(1e18), TruncatedPareto(1e18, 2.0), Power(1e18)
+
+
 def test_sampling_matches_cdf():
     rng = np.random.default_rng(7)
     F = Power(alpha=2.0)

@@ -323,6 +323,19 @@ class TestQuantityReport:
         assert (abs(rep.u_ratio - u)
                 <= 10.0 * (rep.err_U + u * rep.err_S) / rep.S + 1e-15)
 
+    @pytest.mark.parametrize("F, mean", [(PointMass(1.0), 1.0),
+                                         (Uniform(0.5, 2.0), 1.25)])
+    def test_inner_quadrature_error_is_stated(self, F, mean):
+        # D = v p^-1.5: int_1^inf D dp = 2v and int_3^inf D dp = 2v/sqrt(3),
+        # both integrated numerically, with a slow tail
+        model = NonlinearDemandModel(
+            eta_bar=-1.5,
+            D=lambda v, p: np.asarray(v, dtype=float)
+            * np.asarray(p, dtype=float) ** -1.5)
+        rep = quantity_surplus_report(F, model, p_star=3.0)
+        assert abs(rep.S - 2.0 * mean) <= rep.err_S
+        assert abs(rep.U - 2.0 * mean / math.sqrt(3.0)) <= rep.err_U
+
     def test_one_inner_quadrature_per_surplus_row_per_call(self, monkeypatch):
         import markup_guarantee.functionals as fn
         import markup_guarantee.technology as tech

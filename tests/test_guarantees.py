@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from markup_guarantee.distributions import (Binary, Pareto, PointMass, Power,
                                             TruncatedPareto, Uniform)
 from markup_guarantee.guarantees import (FrontierPoint, GuaranteeCertificate,
-                                         consumer_share,
-                                         convex_cost_guarantee, eta2_boundary,
-                                         eta2_membership,
+                                         boundary, consumer_share,
+                                         convex_cost_guarantee,
                                          feasible_beta_interval, frontier,
                                          frontier_attaining_shape,
                                          guarantee_ratio, holder_audit,
+                                         membership,
                                          pareto_bayes_outcome,
                                          pareto_profit_ratio,
                                          procurement_quality,
@@ -23,7 +23,9 @@ from markup_guarantee.guarantees import (FrontierPoint, GuaranteeCertificate,
                                          verify_lower_bound,
                                          verify_procurement_quality,
                                          verify_procurement_quantity)
-from markup_guarantee.technology import PolynomialCost
+from markup_guarantee.functionals import full_report
+from markup_guarantee.screening import bayes_optimal_mechanism
+from markup_guarantee.technology import IsoElasticCost, PolynomialCost
 
 
 class TestClosedForms:
@@ -113,42 +115,91 @@ class TestFrontier:
 
 class TestEta2Boundary:
     def test_branch_junction(self):
-        up = eta2_boundary(2.0)
-        lo = eta2_boundary(2.0 - 1e-15)
+        up = boundary(2.0, 2.0)
+        lo = boundary(2.0 - 1e-15, 2.0)
         assert up.beta == pytest.approx(0.25)
         assert up.u_over_s == pytest.approx(0.5)
         assert lo.beta == pytest.approx(0.25)
         assert lo.u_over_s == pytest.approx(0.5)
 
     def test_lower_branch_endpoint(self):
-        pt = eta2_boundary(1.0)
+        pt = boundary(1.0, 2.0)
         assert pt.u_over_s == pytest.approx(0.0)
         assert pt.beta == pytest.approx(0.5)
         assert pt.branch == "lower"
 
     def test_upper_branch_limit(self):
-        pt = eta2_boundary(1e9)
+        pt = boundary(1e9, 2.0)
         assert pt.beta == pytest.approx(1.0, abs=1e-8)
         assert pt.u_over_s == pytest.approx(0.0, abs=1e-8)
 
     def test_membership_junction_and_segments(self):
-        assert eta2_membership(0.5, 0.25) == "boundary"
-        assert eta2_membership(0.0, 0.75) == "boundary"   # zero-CS segment
-        assert eta2_membership(0.0, 1.0) == "boundary"
-        assert eta2_membership(0.25, 0.5) == "interior"
-        assert eta2_membership(0.6, 0.3) == "exterior"
-        assert eta2_membership(0.1, 0.95) == "exterior"
-        assert eta2_membership(0.4, 0.2) == "exterior"    # below the line
+        assert membership(0.5, 0.25, 2.0) == "boundary"
+        assert membership(0.0, 0.75, 2.0) == "boundary"   # zero-CS segment
+        assert membership(0.0, 1.0, 2.0) == "boundary"
+        assert membership(0.25, 0.5, 2.0) == "interior"
+        assert membership(0.6, 0.3, 2.0) == "exterior"
+        assert membership(0.1, 0.95, 2.0) == "exterior"
+        assert membership(0.4, 0.2, 2.0) == "exterior"    # below the line
 
     def test_membership_tracks_boundary_parametrization(self):
         for alpha in (1.3, 1.7, 2.0, 3.0, 8.0):
-            pt = eta2_boundary(alpha)
-            assert eta2_membership(pt.u_over_s, pt.beta) == "boundary"
+            pt = boundary(alpha, 2.0)
+            assert membership(pt.u_over_s, pt.beta, 2.0) == "boundary"
 
     def test_lower_branch_is_the_line(self):
         for alpha in np.linspace(1.0, 2.0, 20):
-            pt = eta2_boundary(float(alpha))
+            pt = boundary(float(alpha), 2.0)
             assert pt.u_over_s + 2.0 * pt.beta == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("eta", [1.5, 3.0, 5.0])
+class TestBoundaryEveryEta:
+    def test_branches_meet_at_the_guarantee_point(self, eta):
+        r = eta / (eta - 1.0)
+        for pt in (boundary(r, eta), boundary(math.nextafter(r, 0.0), eta)):
+            assert pt.u_over_s == pytest.approx(consumer_share(eta), abs=1e-15)
+            assert pt.beta == pytest.approx(guarantee_ratio(eta), abs=1e-15)
+        assert boundary(r, eta).branch == "upper"
+        assert boundary(math.nextafter(r, 0.0), eta).branch == "lower"
+
+    def test_unit_shape_is_the_zero_surplus_corner(self, eta):
+        pt = boundary(1.0, eta)
+        assert (pt.u_over_s, pt.branch) == (0.0, "lower")
+        assert pt.beta == pytest.approx(1.0 / eta, abs=1e-15)
+
+    def test_lower_branch_is_the_untruncated_limit(self, eta):
+        # the Bayes outcome under TruncatedPareto(alpha, k), alpha < r,
+        # reaches the lower branch at least as fast as k^-(r - alpha)
+        r = eta / (eta - 1.0)
+        alpha = 1.0 + 0.3 * (r - 1.0)
+        pt = boundary(alpha, eta)
+        cost = IsoElasticCost(eta=eta)
+        for log_k in (20.0, 50.0):
+            F = TruncatedPareto(alpha=alpha, k=math.exp(log_k))
+            rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
+            gap = math.exp(-log_k * (r - alpha)) + 1e-12
+            assert abs(rep.pi_ratio - pt.beta) <= gap
+            assert abs(rep.u_ratio - pt.u_over_s) <= gap
+
+    def test_membership_tracks_the_parametrization(self, eta):
+        r = eta / (eta - 1.0)
+        alphas = [*np.linspace(1.0, r, 40), *np.geomspace(r, 100.0 * r, 40)]
+        for alpha in alphas:
+            pt = boundary(float(alpha), eta)
+            assert membership(pt.u_over_s, pt.beta, eta) == "boundary"
+
+    def test_membership_separates_the_sides(self, eta):
+        r = eta / (eta - 1.0)
+        low = boundary(1.0 + 0.5 * (r - 1.0), eta)
+        assert membership(low.u_over_s, low.beta + 1e-2, eta) == "interior"
+        assert membership(low.u_over_s, low.beta - 1e-2, eta) == "exterior"
+        top = boundary(2.0 * r, eta)
+        assert membership(top.u_over_s - 1e-2, top.beta, eta) == "interior"
+        assert membership(top.u_over_s + 1e-2, top.beta, eta) == "exterior"
+        tip = consumer_share(eta) + 1e-3
+        assert membership(tip, guarantee_ratio(eta), eta) == "exterior"
+        assert membership(0.0, 0.5 * (1.0 + 1.0 / eta), eta) == "boundary"
 
 
 class TestLowerBound:
@@ -196,6 +247,14 @@ class TestConvexCost:
         certs = verify_convex_cost_guarantee(
             cost, [Uniform(0.0, 1.0), PointMass(1.0)])
         assert all(c.passed for c in certs)
+
+    def test_positive_marginal_cost_at_zero_rejected(self):
+        # c = q + q^2/2: on PointMass(1.5) the menu sells nothing, since
+        # c'(q) = z v has no positive root for v <= c'(0)/z = 2, yet S > 0
+        cost = PolynomialCost(coeffs=[0.0, 1.0, 0.5], eta_bar=2.0)
+        with pytest.raises(ValueError, match=r"c'\(0\) = 0; this cost has "
+                           r"c'\(0\) = 1\.0"):
+            verify_convex_cost_guarantee(cost, [PointMass(1.5)])
 
     def test_zero_surplus_rejected(self):
         cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ def test_constant_markup_warns_below_two():
     cost = IsoElasticCost(eta=1.5)
     with pytest.warns(UserWarning):
         constant_markup_mechanism(cost)
+
+
+@pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
+def test_guarantee_menu_is_the_constant_markup_menu(eta):
+    cost = IsoElasticCost(eta=eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # an explicit z does not warn
+        M = constant_markup_mechanism(cost, z=1.0 / eta).mechanism
+    v = np.array([0.0, 0.3, 1.0, 5.0])
+    # Q = (v/eta)^{1/(eta-1)} and T = c(Q)/z = (v/eta)^{eta/(eta-1)}
+    for menu in (M, guarantee_mechanism(eta)):
+        np.testing.assert_allclose(menu.Q(v), (v / eta) ** (1.0 / (eta - 1.0)),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(menu.T(v), (v / eta) ** (eta / (eta - 1.0)),
+                                   rtol=1e-14)
+
+
+def test_iso_elastic_markup_states_the_envelope_transfer():
+    mk = constant_markup_mechanism(IsoElasticCost(eta=3.0))
+    for v in (0.5, 1.0, 2.0):
+        assert float(mk.mechanism.T(v)) == pytest.approx(
+            envelope_transfer(mk.mechanism.Q, v), rel=1e-9)
+    general = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
+    assert constant_markup_mechanism(general).mechanism.T is None
 
 
 def test_uniform_price():

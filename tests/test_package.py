@@ -1,11 +1,13 @@
 """The package root re-exports each submodule's public API, the package
-runs on numpy alone, and its count of settable values is pinned."""
+runs on numpy alone, its count of settable values is pinned, and every
+function the benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
 import glob
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -69,3 +71,41 @@ def test_settable_value_count():
     # each settable value doubles the configurations to cover: a change
     # that adds or removes one updates this pin and the ROADMAP's count
     assert (_library_values(), _cli_flags()) == (35, 24)
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracer.py wraps these functions at install, and raises
+    # AttributeError when one is gone; read its source without importing it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    spanned = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["_SPANNED"])
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    # what install() reads besides: screening.iron, quadrature.adaptive_quad,
+    # and the methods it replaces, screening.VirtualValueCurve.phi_bar
+    targets = {f"{home}.{name}" for home, names in spanned.items()
+               for name in names}
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in SUBMODULES):
+            targets.add(f"{node.value.id}.{node.attr}")
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == "_replace_method"
+                and isinstance(node.args[0], ast.Attribute)
+                and isinstance(node.args[1], ast.Constant)):
+            targets.add(f"{ast.unparse(node.args[0])}.{node.args[1].value}")
+    assert {"screening.iron", "screening.VirtualValueCurve.phi_bar",
+            "functionals.consumer_surplus"} <= targets
+    missing = []
+    for target in sorted(targets):
+        home, *path = target.split(".")
+        obj = importlib.import_module(f"markup_guarantee.{home}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(target)
+    assert missing == []

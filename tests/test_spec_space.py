@@ -2,19 +2,24 @@
 
 Every JSON spec either fails at construction with a ValueError, or gives
 the guarantee menu and the Bayes-optimal menu reports with finite shares
-that respect feasibility, Pi + U <= S within the report's own slack, or
-fails with one of the documented errors: infinite surplus, zero surplus, or
-a surplus past the largest float64.  Specs are drawn for every kind, with
-nested mixtures, NaN and infinite parameters, zero masses and weights, and
-zero widths.
+that respect feasibility, Pi + U <= S within the report's own slack, with
+the Bayes report's (U/S, Pi/S) in the feasible set of its elasticity within
+that slack as a share of S, or fails with one of the documented errors:
+infinite surplus, zero surplus, or a surplus past the largest float64.
+Specs are drawn for every kind, with nested mixtures, NaN and infinite
+parameters, zero masses and weights, and zero widths.  A second property
+searches atomic laws for a Bayes outcome below the feasible set's lower
+branch.
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import given, settings, strategies as st, target
 
-from markup_guarantee.distributions import distribution_from_spec
+from markup_guarantee.distributions import Discrete, distribution_from_spec
 from markup_guarantee.functionals import InfiniteSurplusError, full_report
+from markup_guarantee.guarantees import boundary, consumer_share, membership
 from markup_guarantee.mechanisms import guarantee_mechanism
 from markup_guarantee.screening import bayes_optimal_mechanism
 from markup_guarantee.technology import IsoElasticCost
@@ -109,3 +114,46 @@ def test_every_spec_is_rejected_or_reported(spec):
             slack = max(10.0 * (rep.err_S + rep.err_Pi + rep.err_U),
                         1e-9 * max(1.0, rep.S))
             assert rep.Pi + rep.U <= rep.S + slack
+            if menu == "bayes_optimal":
+                tol = slack / rep.S
+                x, y = rep.u_ratio, rep.pi_ratio
+                assert -tol <= min(x, y) and max(x, y) <= 1.0 + tol
+                verdict = membership(min(max(x, 0.0), 1.0),
+                                     min(max(y, 0.0), 1.0), eta, tol)
+                assert verdict != "exterior"
+
+
+@st.composite
+def _atomic_law(draw):
+    """2 to 4 atoms with gaps from e^-6 to e^6 and masses from 1 down to
+    e^-12 before normalising: laws that iron exactly."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    gaps = draw(st.lists(st.floats(min_value=-6.0, max_value=6.0),
+                         min_size=n, max_size=n))
+    logs = draw(st.lists(st.floats(min_value=-12.0, max_value=0.0),
+                         min_size=n, max_size=n))
+    values = tuple(float(v) for v in np.cumsum(np.exp(gaps)))
+    weights = np.exp(logs)
+    return Discrete(values=values, masses=tuple(weights / weights.sum()))
+
+
+def _lower_branch_beta(x, eta):
+    """Pi/S on the lower branch of the feasible set at U/S = x."""
+    x = min(x, consumer_share(eta))
+    return boundary(1.0 / (1.0 - x ** (eta - 1.0)), eta).beta
+
+
+@given(_atomic_law())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_atomic_bayes_outcomes_stay_above_the_lower_branch(F):
+    # an adversarial search: hypothesis steers each elasticity's draws
+    # toward the smallest margin Pi/S - beta_low(U/S).  The lower branch is
+    # derived from truncated Pareto limits, so this tests it as a conjecture
+    for eta in (1.5, 3.0, 5.0):
+        cost = IsoElasticCost(eta=eta)
+        rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
+        margin = rep.pi_ratio - _lower_branch_beta(rep.u_ratio, eta)
+        target(-margin, label=f"eta={eta:g}")
+        slack = max(10.0 * (rep.err_S + rep.err_Pi + rep.err_U),
+                    1e-9 * max(1.0, rep.S))
+        assert margin >= -slack / rep.S

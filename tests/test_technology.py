@@ -158,8 +158,9 @@ class TestQuantitySide:
 
     def test_efficient_surplus_per_value(self):
         m = SeparableQuantityUtility(eta=-2.0)
-        # -v^2/(eta+1) with eta = -2 gives v^2
-        assert float(m.surplus_above(3.0, 1.0)) == pytest.approx(9.0)
+        # -v^2/(eta+1) with eta = -2 gives v^2, in closed form
+        value, error = m.surplus_above(3.0, 1.0)
+        assert (float(value), float(error)) == (pytest.approx(9.0), 0.0)
 
     def test_nonlinear_band_check_passes_for_drifting_elasticity(self):
         D = lambda v, p: 2.0 * np.asarray(v, dtype=float) / (

@@ -108,18 +108,25 @@ class VirtualValueCurve:
 
 
 def _lower_convex_hull(x, y):
-    """Indices of the greatest convex minorant of the points (x, y).
+    """Indices of the greatest convex minorant of the points (x, y), arrays
+    with x strictly increasing: a monotone-chain pass.
 
-    Single monotone-chain pass; x must be strictly increasing.
+    The chain drops the middle of three points unless the slope rises
+    there, each slope taken from its own two points (a cross product
+    anchored at the first can round to 0 when x spans many orders of
+    magnitude).  Up to the first consecutive triple that this drops, found
+    in one numpy pass, the chain keeps every point, so it starts there; a
+    curve with no such triple is its own hull.
     """
-    hull = []
-    for i in range(len(x)):
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
+    drop = np.flatnonzero(dy[:-1] * dx[1:] >= dy[1:] * dx[:-1])
+    if not drop.size:
+        return list(range(len(x)))
+    hull, x, y = list(range(drop[0] + 2)), x.tolist(), y.tolist()
+    for i in range(len(hull), len(x)):
         while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            # drop i2 if it lies on or above the chord i1 -> i
-            cross = ((x[i2] - x[i1]) * (y[i] - y[i1])
-                     - (y[i2] - y[i1]) * (x[i] - x[i1]))
-            if cross <= 0.0:
+            x1, y1, x2, y2 = x[hull[-2]], y[hull[-2]], x[hull[-1]], y[hull[-1]]
+            if (y2 - y1) * (x[i] - x2) >= (y[i] - y2) * (x2 - x1):
                 hull.pop()
             else:
                 break
@@ -128,11 +135,16 @@ def _lower_convex_hull(x, y):
 
 
 def _root(g, a, b, ga, gb):
-    """Root of g in (a, b) given ga > 0 > gb: Illinois false position."""
+    """Root of g in (a, b) given ga > 0 > gb: Illinois false position.  A
+    step that rounds onto an end, which then sits on the root, moves one
+    float inside it (Brent's minimum step); it bisects only if that does not
+    shrink the bracket, which ends on adjacent floats."""
     side = 0
     while b - a > 2e-16 * max(abs(a), abs(b)):
         c = (a * gb - b * ga) / (gb - ga)
-        c = c if a < c < b else 0.5 * (a + b)
+        if not a < c < b:
+            c = math.nextafter(a, b) if c <= a else math.nextafter(b, a)
+            c = c if a < c < b else 0.5 * (a + b)
         gc = g(c) if a < c < b else 0.0
         if gc > 0.0:
             a, ga, gb, side = c, gc, gb * (0.5 if side < 0 else 1.0), -1
@@ -143,28 +155,29 @@ def _root(g, a, b, ga, gb):
     return a if ga < -gb else b
 
 
-def _touch(F, knots, lam, lo, hi):
-    """(p, q(p)) where a line of slope lam touches the revenue curve from
-    above on [lo, hi]: the best local maximum of H = (p - lam) P(V > p).
-    As H' = f (lam - phi), between knots that is where phi crosses lam
-    upwards, or an end, nudged one ulp inside (off any atom)."""
-    def h(x):
-        return float(F.sf(x)) - (x - lam) * float(F.pdf(x))
-
-    best = None
+def _cells(knots, lo, hi):
+    """Cells the knots cut [lo, hi] into, ends one ulp inside (off atoms)."""
     cuts = [lo, *knots[(knots > lo) & (knots < hi)], hi]
-    for u, w in zip(cuts, cuts[1:]):
-        u, w = math.nextafter(u, w), math.nextafter(w, u)
-        hu = h(u)
-        if hu <= 0.0 or u >= w:
-            x = u
-        else:
-            hw = h(w)
-            x = w if hw >= 0.0 else _root(h, u, w, hu, hw)
-        qx = float(F.sf(x))
-        if best is None or (x - lam) * qx > (best[0] - lam) * best[1]:
-            best = (x, qx)
-    return best
+    return [(math.nextafter(u, w), math.nextafter(w, u))
+            for u, w in zip(cuts, cuts[1:])]
+
+
+def _touch(sf_pdf, cells, lam):
+    """(p, q(p)) where a line of slope lam touches the revenue curve from
+    above on the cells: the best local maximum of H = (p - lam) P(V > p).
+    As H' = f (lam - phi), in a cell that is where phi crosses lam upwards,
+    or an end.  sf_pdf(x) gives (P(V > x), f(x))."""
+    def h(x):
+        s, f = sf_pdf(x)
+        return s - (x - lam) * f
+
+    touches = []
+    for u, w in cells:
+        hu, hw = h(u), h(w)
+        x = (u if hu <= 0.0 or u >= w
+             else w if hw >= 0.0 else _root(h, u, w, hu, hw))
+        touches.append((x, sf_pdf(x)[0]))
+    return max(touches, key=lambda t: (t[0] - lam) * t[1])
 
 
 def iron(F: ValueDistribution) -> VirtualValueCurve:
@@ -177,7 +190,8 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
     hull vertex of the continuum can sit on.  Ends at other knots stay put;
     a smooth end solves phi = slope near its vertex, and resetting the slope
     to the new chord's is Newton's method on max H_a - max H_b (derivative
-    q_b - q_a).
+    q_b - q_a).  sf and pdf are read in one array call each at every cell
+    end a touch searches, and at any other point once.
     """
     (lo, hi), atoms, segments = F.support, dict(F.atoms()), F.density_segments()
     knots = np.unique([x for x in (lo, hi, *atoms, *np.ravel(segments))
@@ -220,7 +234,7 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
     # a step over a knot that was dropped above spans a support gap
     starts[:-1] |= (np.searchsorted(knots, price[1:], side="left")
                     > np.searchsorted(knots, price[:-1], side="right"))
-    hull = _lower_convex_hull((-q).tolist(), (-R).tolist())
+    hull = _lower_convex_hull(-q, -R)
     price, q, R, mass, down, loose, starts = (  # floats for the point loops
         x.tolist() for x in (price, q, R, mass, down, loose, starts))
     chords = []
@@ -240,28 +254,48 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
         fb = float(F.cdf(b)) if fb is None else fb
         return fb - fa
 
+    # a smooth end looks for its touch point between its grid neighbours;
+    # a drop knot looks outward only, and the two ends of a chord never
+    # search the same cell.  R peaks at its grid maximum, at a knot, or
+    # where phi crosses 0 next to it: a touch of slope 0 strictly inside
+    # one of the two brackets around its grid maximum
+    windows = [(loose[i1] and _cells(knots, price[i1 - 1], price[
+                    i1 if down[i1] or i1 + 1 >= i2 else i1 + 1]),
+                loose[i2] and _cells(knots, price[i2 if down[i2] else max(
+                    i2 - 1, i1)], price[min(i2 + 1, top)]))
+               for i1, i2 in chords]
+    k = R.index(max(R))
+    brackets = [(u, w, _cells(knots, price[u], price[w]))
+                for u, w in ((max(k - 1, 0), k), (k, min(k + 1, top)))
+                if segments and price[u] < price[w]]
+    # sf and pdf at every cell end in one call each, at other points once
+    nudged = np.array([x for cells in [c for w in windows for c in w if c]
+                       + [c for *_, c in brackets] for cell in cells
+                       for x in cell])
+    memo = dict(zip(nudged.tolist(), np.column_stack(
+        (F.sf(nudged), F.pdf(nudged))).tolist())) if nudged.size else {}
+
+    def sf_pdf(x):
+        if x not in memo:
+            memo[x] = float(F.sf(x)), float(F.pdf(x))
+        return memo[x]
+
     # F(p-) = P(V < p) at the chord ends on the grid, in one call
     ends = [i for chord in chords for i in chord]
     below = (np.asarray(F.cdf(np.array([price[i] for i in ends])), dtype=float)
              - [mass[i] for i in ends]).tolist() if chords else []
     intervals = []
-    for (i1, i2), fa, fb in zip(chords, below[::2], below[1::2]):
+    for (i1, i2), (left, right), fa, fb in zip(chords, windows, below[::2],
+                                               below[1::2]):
         a, qa, Ra, b, qb, Rb = price[i1], q[i1], R[i1], price[i2], q[i2], R[i2]
-        # a smooth end looks for its touch point between its grid neighbours;
-        # a drop knot looks outward only, and the two ends of a chord
-        # never search the same cell
-        left = loose[i1] and (price[i1 - 1], price[
-            i1 if down[i1] or i1 + 1 >= i2 else i1 + 1])
-        right = loose[i2] and (price[i2 if down[i2] else max(i2 - 1, i1)],
-                               price[min(i2 + 1, top)])
         dq = share(a, qa, fa, b, qb, fb)
         lam = (Ra - Rb) / dq
         for _ in range(50 if left or right else 0):
             if left:
-                (a, qa), fa = _touch(F, knots, lam, *left), None
+                (a, qa), fa = _touch(sf_pdf, left, lam), None
                 Ra = a * qa
             if right:
-                (b, qb), fb = _touch(F, knots, lam, *right), None
+                (b, qb), fb = _touch(sf_pdf, right, lam), None
                 Rb = b * qb
             dq = share(a, qa, fa, b, qb, fb)
             step, lam = lam, (Ra - Rb) / dq
@@ -270,16 +304,12 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
                 break
         intervals.append((a, math.inf if i2 == last else b, lam))
 
-    # R peaks at its grid maximum, at a knot, or where phi crosses 0 next
-    # to it: a touch of slope 0 strictly inside one of the two brackets
-    k = R.index(max(R))
     cutoff, best = price[k], R[k]
-    for u, w in ((max(k - 1, 0), k), (k, min(k + 1, top))):
-        if segments and price[u] < price[w]:
-            x, qx = _touch(F, knots, 0.0, price[u], price[w])
-            if (math.nextafter(price[u], math.inf) < x
-                    < math.nextafter(price[w], -math.inf) and x * qx > best):
-                cutoff, best = x, x * qx
+    for u, w, cells in brackets:
+        x, qx = _touch(sf_pdf, cells, 0.0)
+        if (math.nextafter(price[u], math.inf) < x
+                < math.nextafter(price[w], -math.inf) and x * qx > best):
+            cutoff, best = x, x * qx
     return VirtualValueCurve(distribution=F, ironed_intervals=tuple(intervals),
                              cutoff=None if cutoff == lo else cutoff)
 

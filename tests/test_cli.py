@@ -247,8 +247,11 @@ def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
     ({"kind": "truncated_pareto", "alpha": 4.0, "k": 1e300},
      "density underflows float64"),
     ({"kind": "power", "alpha": 1e20}, "density underflows float64"),
+    # the Bayes menu's virtual value at 9.2e35 divides by a density of 0.0
+    ({"kind": "truncated_pareto", "alpha": 8.04, "k": 1e300},
+     "the density underflows float64 at v = 9.18"),
 ], ids=["top-atom-overflow", "pareto-density-underflow",
-        "power-density-underflow"])
+        "power-density-underflow", "steep-pareto-density-underflow"])
 def test_law_past_float64_is_config_error(tmp_path, capsys, spec, message):
     path = write_cfg(tmp_path, "c.json", {
         "version": 1, "eta": 2.0, "mechanism": "bayes_optimal",

@@ -19,6 +19,7 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             PointMass, Power, TruncatedPareto,
                                             Uniform)
 from markup_guarantee.functionals import full_report, mechanism_profit
+from markup_guarantee.guarantees import boundary
 from markup_guarantee.mechanisms import ic_audit
 from markup_guarantee.screening import (AtomError, DiscreteScreeningInstance,
                                         bayes_markup_curve,
@@ -84,6 +85,21 @@ class TestVirtualValue:
     def test_zero_density_raises(self):
         with pytest.raises(ValueError):
             virtual_value(Uniform(0.5, 1.0), 0.2)
+
+
+def _acceptance_mixtures(n, seed=20260823):
+    """The first n mixtures of 1-3 Uniform(0, b) and Power(alpha)
+    components, drawn as the acceptance battery draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        comps = [Uniform(0.0, float(rng.uniform(0.5, 3.0)))
+                 if rng.uniform() < 0.5
+                 else Power(alpha=float(rng.uniform(0.5, 4.0)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        w = rng.dirichlet(np.ones(len(comps)))
+        out.append(Mixture(components=tuple(comps), weights=tuple(w.tolist())))
+    return out
 
 
 class TestIroning:
@@ -225,6 +241,134 @@ class TestIroning:
         assert float(F.sf(b)) > 0.5
         exact = (R(a) - R(b)) / (below(b) - below(a))
         assert abs(lam - exact) <= 2 * np.spacing(abs(exact))
+
+    @pytest.mark.parametrize("alpha, log_k, eta", [
+        (1.6, 100.0, 1.5), (1.3, 300.0, 2.0), (1.7, 100.0, 2.0)])
+    def test_truncated_pareto_at_large_k_reaches_the_lower_branch(
+            self, alpha, log_k, eta):
+        # q runs from 1 down to the top atom's k^-alpha (1.5e-74 at
+        # alpha = 1.7, k = e^100); the hull must keep that atom's point,
+        # or the top of the support is ironed at the wrong constant
+        F, cost = TruncatedPareto(alpha, math.exp(log_k)), IsoElasticCost(eta)
+        rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
+        limit = boundary(alpha, eta)
+        assert rep.pi_ratio == pytest.approx(limit.beta, rel=0.0, abs=1e-9)
+        assert rep.u_ratio == pytest.approx(limit.u_over_s, rel=0.0, abs=1e-9)
+
+    def test_iron_calls_per_law(self, monkeypatch):
+        # the touches read sf and pdf at every cell end from one array call
+        # each, so a law takes the grid's calls plus its roots' steps; the
+        # quantile's own calls are pinned in test_distributions.py
+        calls, per_eta = [], []
+        for name in ("sf", "pdf"):
+            method = getattr(Mixture, name)
+
+            def counted(self, v, method=method):
+                calls.append(1)
+                return method(self, v)
+
+            monkeypatch.setattr(Mixture, name, counted)
+        quantile = Mixture.quantile
+
+        def quantile_uncounted(self, u):
+            n = len(calls)
+            out = quantile(self, u)
+            del calls[n:]
+            return out
+
+        monkeypatch.setattr(Mixture, "quantile", quantile_uncounted)
+        for eta in (2.0, 3.0):
+            per_law = []
+            for F in _acceptance_mixtures(20):
+                calls.clear()
+                bayes_optimal_mechanism(F, IsoElasticCost(eta=eta))
+                per_law.append(len(calls))
+            per_eta.append(per_law)
+        assert per_eta[0] == per_eta[1]
+        assert max(per_eta[0]) <= 141 and sum(per_eta[0]) <= 828
+
+
+def _bisect(g, a, b):
+    """Bisection down to adjacent floats; the end with the smaller |g|."""
+    while math.nextafter(a, b) < b:
+        c = 0.5 * (a + b)
+        a, b = (c, b) if g(c) > 0.0 else (a, c)
+    return a if g(a) < -g(b) else b
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: 1e-20 - (x - 1.0) * (1.0 + x),
+    lambda x: (2.0 - x) * (1.0 + x) - 1e-20,
+    lambda x: 1e-17 - math.expm1(x - 1.0),
+], ids=["root-at-lo", "root-at-hi", "exp-root-at-lo"])
+def test_root_steps_inside_an_end_on_the_root(g):
+    # on [1, 2] the root lies within one float of an end, so the first
+    # false-position step rounds onto that end; bisection would take
+    # about 50 evaluations to close in on it
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return g(x)
+
+    x = screening._root(counted, 1.0, 2.0, g(1.0), g(2.0))
+    assert len(seen) <= 10
+    # the sign change lies within one float of x
+    assert g(math.nextafter(x, 0.0)) > 0.0 > g(math.nextafter(x, 3.0))
+    assert x == _bisect(g, 1.0, 2.0)
+
+
+def _monotone_chain(x, y):
+    """Reference: the whole monotone chain, with the hull's predicate."""
+    hull = []
+    for i in range(len(x)):
+        while len(hull) >= 2 and ((y[hull[-1]] - y[hull[-2]])
+                                  * (x[i] - x[hull[-1]])
+                                  >= (y[i] - y[hull[-1]])
+                                  * (x[hull[-1]] - x[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hull_starts_its_chain_at_the_first_dropped_turn(seed):
+    # one numpy pass skips the chain up to the first consecutive triple it
+    # drops, and skips it on a curve with none; the hull is the whole
+    # chain's
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    hull = screening._lower_convex_hull
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    slopes = np.cumsum(rng.uniform(0.1, 1.0, n - 1))
+    y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    assert hull(x, y) == _monotone_chain(x, y) == list(range(n))
+    # one reflex point
+    bent = y.copy()
+    bent[int(rng.integers(1, n - 1))] += 10.0 * slopes.max()
+    assert hull(x, bent) == _monotone_chain(x, bent) != list(range(n))
+    # integer slopes with repeats: collinear middle points are dropped
+    xi = np.arange(float(n))
+    steps = np.sort(rng.integers(-5, 5, n - 1)).astype(float)
+    yi = np.concatenate([[0.0], np.cumsum(steps)])
+    assert hull(xi, yi) == _monotone_chain(xi, yi)
+    assert len(hull(xi, yi)) == np.unique(steps).size + 1
+    # the revenue curve (-q, -R) of a Pareto body on the grid's shares, a
+    # top atom at q from 1e-40 down to 1e-74, and q = 0: every point is a
+    # vertex, though a cross product anchored at the grid's last point
+    # rounds to 0 at the atom
+    q = np.concatenate([np.logspace(0.0, np.log10(5e-10), n),
+                        [10.0 ** -rng.uniform(40.0, 74.0), 0.0]])
+    xq, yq = -q, -q ** (1.0 - 1.0 / rng.uniform(1.5, 3.0))
+    assert hull(xq, yq) == _monotone_chain(xq, yq) == list(range(n + 2))
+    flat = yq.copy()
+    flat[-2] = 0.5 * (flat[-3] + flat[-1])
+    assert hull(xq, flat) == _monotone_chain(xq, flat)
+    # a reflex point in the body: the chain runs over the atom's point too
+    bent = yq.copy()
+    bent[n // 2] = bent[n // 2 + 1]
+    assert hull(xq, bent) == _monotone_chain(xq, bent)
+    assert n // 2 not in hull(xq, bent) and n in hull(xq, bent)
 
 
 class TestBayesOptimal:

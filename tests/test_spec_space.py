@@ -5,7 +5,8 @@ the guarantee menu and the Bayes-optimal menu reports with finite shares
 that respect feasibility, Pi + U <= S within the report's own slack, with
 the Bayes report's (U/S, Pi/S) in the feasible set of its elasticity within
 that slack as a share of S, or fails with one of the documented errors:
-infinite surplus, zero surplus, or a surplus past the largest float64.
+infinite surplus, zero surplus, a surplus past the largest float64, or a
+density that underflows float64 where the Bayes menu divides by it.
 Specs are drawn for every kind, with nested mixtures, NaN and infinite
 parameters, zero masses and weights, and zero widths.  A second property
 searches atomic laws for a Bayes outcome below the feasible set's lower
@@ -15,7 +16,7 @@ branch.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import example, given, settings, strategies as st, target
 
 from markup_guarantee.distributions import Discrete, distribution_from_spec
 from markup_guarantee.functionals import InfiniteSurplusError, full_report
@@ -85,12 +86,15 @@ _LEAVES = st.one_of(
 )
 _SPECS = st.recursive(_LEAVES, _mixture, max_leaves=4)
 
-# the documented ways a valid law has no finite, positive share of surplus
+# the documented ways a valid law has no finite, positive share of surplus,
+# or no Bayes menu within float64
 _NO_SHARES = ("surplus is infinite", "efficient surplus is",
-              "efficient surplus overflows float64")
+              "efficient surplus overflows float64",
+              "the density underflows float64")
 
 
 @given(_SPECS)
+@example({"kind": "truncated_pareto", "alpha": 8.04, "k": 1e300})
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_every_spec_is_rejected_or_reported(spec):
     try:

@@ -35,11 +35,9 @@ print(f"guarantee-menu benchmark:  Pi/S = {mg.guarantee_ratio(2.0):.4f}")
 
 # Cross-check against the exact dynamic program over the quality grid on a
 # matched discretization.
-values, masses = mg.discretize(F, 10)
-inst = mg.DiscreteScreeningInstance(
-    values=tuple(values), masses=tuple(masses), cost=cost,
-    quality_grid=tuple(np.linspace(0.0, 1.2 * max(values) / 2.0, 15)))
-oracle = mg.discrete_oracle(inst)
+F10 = mg.discretize(F, 10)
+oracle = mg.discrete_oracle(
+    F10, cost, tuple(np.linspace(0.0, 1.2 * max(F10.values) / 2.0, 15)))
 print()
 print(f"10-type grid oracle profit:        {oracle.profit:.6f}")
 print(f"continuous-menu profit:            {rep.Pi:.6f}")

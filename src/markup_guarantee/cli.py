@@ -17,9 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distributions import (Binary, PointMass, Power, TruncatedPareto,
-                            Uniform, _spec_field, distribution_from_spec)
-from .functionals import InfiniteSurplusError, full_report
+from .distributions import (Binary, Discrete, PointMass, Power,
+                            TruncatedPareto, Uniform, _spec_field,
+                            distribution_from_spec)
+from .functionals import InfiniteSurplusError, full_report, mechanism_profit
 from .guarantees import (boundary, consumer_share, feasible_beta_interval,
                          frontier, frontier_attaining_shape, guarantee_ratio,
                          holder_audit, membership, procurement_quality,
@@ -30,8 +31,7 @@ from .guarantees import (boundary, consumer_share, feasible_beta_interval,
                          verify_quantity_guarantee)
 from .mechanisms import guarantee_mechanism
 from .quadrature import QuadratureError
-from .screening import (DiscreteScreeningInstance, bayes_optimal_mechanism,
-                        discrete_oracle, discretize)
+from .screening import bayes_optimal_mechanism, discrete_oracle, discretize
 from .technology import (CostValidationError, IsoElasticCost,
                          cost_from_spec, quantity_model_from_spec)
 
@@ -86,7 +86,6 @@ def _default_battery(eta):
     boundary = eta / (eta - 1.0)
     vals = tuple(1.0 + 0.5 * i for i in range(10))
     masses = tuple(1.0 / 10 for _ in range(10))
-    from .distributions import Discrete
     return [
         Uniform(0.0, 1.0),
         Binary(1.0, 2.0, 0.3),
@@ -364,28 +363,23 @@ def cmd_oracle(args):
     mode = cfg.get("mode", "exhaustive")
     tol = float(cfg.get("tol", 0.02))
 
+    # one atomic law feeds both the dynamic program and the Bayes menu
     if "distribution" in cfg:
-        F = distribution_from_spec(cfg["distribution"])
-        n_types = int(cfg.get("n_types", 10))
-        values, masses = discretize(F, n_types)
+        F = discretize(distribution_from_spec(cfg["distribution"]),
+                       int(cfg.get("n_types", 10)))
     else:
         what = "'oracle' config without a 'distribution'"
-        values = tuple(float(v) for v in _spec_field(cfg, "values", what))
-        masses = tuple(float(m) for m in _spec_field(cfg, "masses", what))
+        F = Discrete(values=tuple(_spec_field(cfg, "values", what)),
+                     masses=tuple(_spec_field(cfg, "masses", what)))
     if "quality_grid" in cfg:
         grid = tuple(float(q) for q in cfg["quality_grid"])
     else:
-        q_top = max(values) ** (1.0 / (eta - 1.0))
+        q_top = F.values[-1] ** (1.0 / (eta - 1.0))
         grid = tuple(np.linspace(0.0, 1.2 * q_top, 15))
-    inst = DiscreteScreeningInstance(values=values, masses=masses,
-                                     cost=cost, quality_grid=grid)
-    oracle = discrete_oracle(inst, mode=mode)
+    oracle = discrete_oracle(F, cost, grid, mode=mode)
 
-    from .distributions import Discrete
-    F_disc = Discrete(values=values, masses=masses)
-    M = bayes_optimal_mechanism(F_disc, cost)
-    from .functionals import mechanism_profit
-    Pi, _ = mechanism_profit(F_disc, M, cost)
+    M = bayes_optimal_mechanism(F, cost)
+    Pi, _ = mechanism_profit(F, M, cost)
 
     gap = abs(Pi - oracle.profit) / max(abs(oracle.profit), 1e-300)
     report = {

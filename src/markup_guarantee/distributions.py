@@ -250,40 +250,6 @@ class Uniform(ValueDistribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Binary(ValueDistribution):
-    v_lo: float
-    v_hi: float
-    p_hi: float
-
-    def __post_init__(self):
-        _finite(self.v_lo, self.v_hi, self.p_hi)
-        if not (0.0 <= self.v_lo < self.v_hi):
-            raise ValueError("need 0 <= v_lo < v_hi")
-        if not (0.0 < self.p_hi < 1.0):
-            raise ValueError("p_hi must be in (0,1)")
-
-    @property
-    def support(self):
-        return (self.v_lo, self.v_hi)
-
-    def cdf(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.where(v < self.v_lo, 0.0,
-                        np.where(v < self.v_hi, 1.0 - self.p_hi, 1.0))
-
-    def atoms(self):
-        return ((self.v_lo, 1.0 - self.p_hi), (self.v_hi, self.p_hi))
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= 1.0 - self.p_hi, self.v_lo, self.v_hi)
-
-    def to_spec(self):
-        return {"kind": "binary", "v_lo": self.v_lo, "v_hi": self.v_hi,
-                "p_hi": self.p_hi}
-
-
-@dataclass(frozen=True, repr=False)
 class Power(ValueDistribution):
     """F(v) = v^alpha on [0, 1]."""
 
@@ -326,6 +292,9 @@ class Power(ValueDistribution):
 
 @dataclass(frozen=True, repr=False)
 class Discrete(ValueDistribution):
+    """Atoms at strictly ascending values >= 0, with positive masses that
+    sum to 1: every atomic law, Binary and PointMass among them."""
+
     values: tuple
     masses: tuple
 
@@ -379,31 +348,25 @@ class Discrete(ValueDistribution):
                 "masses": list(self.masses)}
 
 
-@dataclass(frozen=True, repr=False)
-class PointMass(ValueDistribution):
-    v0: float
+class Binary(Discrete):
+    """v_hi with mass p_hi, v_lo with the rest."""
 
-    def __post_init__(self):
-        _finite(self.v0)
-        if self.v0 < 0:
-            raise ValueError("point mass location must be nonnegative")
-
-    @property
-    def support(self):
-        return (self.v0, self.v0)
-
-    def cdf(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.where(v >= self.v0, 1.0, 0.0)
-
-    def atoms(self):
-        return ((self.v0, 1.0),)
-
-    def quantile(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.v0)
+    def __init__(self, v_lo, v_hi, p_hi):
+        super().__init__(values=(v_lo, v_hi), masses=(1.0 - p_hi, p_hi))
 
     def to_spec(self):
-        return {"kind": "point_mass", "v0": self.v0}
+        return {"kind": "binary", "v_lo": self.values[0],
+                "v_hi": self.values[1], "p_hi": self.masses[1]}
+
+
+class PointMass(Discrete):
+    """All the mass at v0."""
+
+    def __init__(self, v0):
+        super().__init__(values=(v0,), masses=(1.0,))
+
+    def to_spec(self):
+        return {"kind": "point_mass", "v0": self.values[0]}
 
 
 @dataclass(frozen=True, repr=False)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .quadrature import adaptive_quad
-from .technology import IsoElasticCost, _monotone_root, _positive_root
+from .technology import IsoElasticCost, _monotone_root
 
 __all__ = [
     "DirectMechanism",
@@ -177,20 +177,17 @@ def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
             warnings.warn("constant-markup guarantee is derived for "
                           "eta_bar >= 2", stacklevel=2)
 
+    def Q(v):
+        return cost.efficient_quality(
+            z * np.maximum(np.asarray(v, dtype=float), 0.0))
+
     T = None
     if isinstance(cost, IsoElasticCost):
         p = 1.0 / (cost.eta - 1.0)
 
-        def Q(v):
-            return (z * np.maximum(np.asarray(v, dtype=float), 0.0)) ** p
-
         def T(v):
             zv = z * np.maximum(np.asarray(v, dtype=float), 0.0)
             return zv ** (p + 1.0) / (cost.eta * z)
-    else:
-        def Q(v):
-            return _positive_root(cost.c_prime, z * np.asarray(v, dtype=float),
-                                  cost.c_double_prime)
 
     mech = DirectMechanism(Q=Q, T=T, label=f"constant_markup(z={z:g})")
     return MarkupMechanism(z=z, mechanism=mech)

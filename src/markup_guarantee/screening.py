@@ -24,7 +24,6 @@ from .technology import IsoElasticCost
 
 __all__ = [
     "VirtualValueCurve",
-    "DiscreteScreeningInstance",
     "OracleResult",
     "virtual_value",
     "iron",
@@ -336,11 +335,8 @@ def bayes_optimal_mechanism(F: ValueDistribution,
         out = np.maximum(pb, 0.0) ** power * (v_arr >= start)
         return out if out.ndim else float(out)
 
-    mech = DirectMechanism(Q=Q, label="bayes_optimal", breakpoints=tuple(
+    return DirectMechanism(Q=Q, label="bayes_optimal", breakpoints=tuple(
         sorted({lo, start, *curve.breakpoints()})))
-    # stash the curve for callers that want markup diagnostics
-    object.__setattr__(mech, "virtual_curve", curve)
-    return mech
 
 
 def bayes_markup_curve(F: ValueDistribution):
@@ -384,38 +380,6 @@ def _adjacent_ic_transfers(values, q):
 
 
 @dataclass(frozen=True)
-class DiscreteScreeningInstance:
-    values: tuple
-    masses: tuple
-    cost: IsoElasticCost
-    quality_grid: tuple = ()
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        masses = tuple(float(m) for m in self.masses)
-        grid = tuple(sorted(float(q) for q in self.quality_grid))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "quality_grid", grid)
-        if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
-            raise ValueError("values must be strictly ascending")
-        if abs(sum(masses) - 1.0) > 1e-12:
-            raise ValueError("masses must sum to 1")
-        if grid and grid[0] != 0.0:
-            raise ValueError("quality grid must include 0")
-
-    def to_spec(self):
-        return {"values": list(self.values), "masses": list(self.masses),
-                "eta": self.cost.eta, "quality_grid": list(self.quality_grid)}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(values=tuple(spec["values"]), masses=tuple(spec["masses"]),
-                   cost=IsoElasticCost(eta=spec["eta"]),
-                   quality_grid=tuple(spec.get("quality_grid", ())))
-
-
-@dataclass(frozen=True)
 class OracleResult:
     profit: float
     allocation: tuple
@@ -423,34 +387,38 @@ class OracleResult:
     warnings: tuple = ()
 
 
-def discrete_oracle(inst: DiscreteScreeningInstance,
+def discrete_oracle(F: Discrete, cost: IsoElasticCost, quality_grid=(),
                     mode: str = "exhaustive") -> OracleResult:
-    """Optimal screening for a discrete-type instance.
+    """Optimal screening of the types of an atomic law F.
 
     exhaustive: exact dynamic program over nondecreasing quality vectors on
-    the grid, priced by binding adjacent ICs downward.  With those ICs profit
-    is separable, sum_i w_i q_i - m_i c(q_i) with marginal revenue
-    w_i = m_i v_i - (v_{i+1} - v_i)(1 - F_i), so a suffix maximum from the
-    top type down and a forward pass of first maximisers give the
-    lexicographically smallest optimal menu.  reduced: maximize the
-    ironed-virtual-value objective type by type (exact, no grid).
+    the grid (sorted here; it must hold 0), priced by binding adjacent ICs
+    downward.  With those ICs profit is separable, sum_i w_i q_i -
+    m_i c(q_i) with marginal revenue w_i = m_i v_i - (v_{i+1} - v_i)(1 - F_i),
+    so a suffix maximum from the top type down and a forward pass of first
+    maximisers give the lexicographically smallest optimal menu.  reduced:
+    maximize the ironed-virtual-value objective type by type (exact, no
+    grid).
     """
-    values = np.asarray(inst.values, dtype=float)
-    masses = np.asarray(inst.masses, dtype=float)
-    cost = inst.cost
+    values = np.asarray(F.values, dtype=float)
+    masses = np.asarray(F.masses, dtype=float)
     notes = []
 
     if mode == "reduced":
-        phi_bar = iron(Discrete(values, masses)).phi_bar(values)
+        phi_bar = iron(F).phi_bar(values)
         q = np.maximum(phi_bar, 0.0) ** (1.0 / (cost.eta - 1.0))
         profit = float((masses * (phi_bar * q - np.asarray(cost.c(q)))).sum())
         return OracleResult(profit=profit, allocation=tuple(q), mode="reduced")
 
     if mode != "exhaustive":
         raise ValueError("mode must be 'exhaustive' or 'reduced'")
-    grid = np.asarray(inst.quality_grid, dtype=float)
+    grid = np.sort(np.asarray(quality_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("exhaustive mode needs a quality grid")
+    if grid[0] != 0.0:
+        raise ValueError("quality grid must include 0")
+    if not np.isfinite(grid[-1]):
+        raise ValueError("quality grid must be finite")
 
     weight = masses * values
     weight[:-1] -= np.diff(values) * (1.0 - np.cumsum(masses)[:-1])
@@ -476,24 +444,28 @@ def discrete_oracle(inst: DiscreteScreeningInstance,
                         mode="exhaustive", warnings=tuple(notes))
 
 
-def discretize(F: ValueDistribution, n_types: int) -> tuple:
+def discretize(F: ValueDistribution, n_types: int) -> Discrete:
     """Equal-mass discretization by conditional means on quantile bins.
 
-    Returns (values, masses).
+    Bin (u_lo, u_hi] of the quantile range gets the value (integral of v f
+    between its end values, plus each atom's value times the overlap of its
+    share [F(loc) - m, F(loc)] with the bin) / (u_hi - u_lo).  A bin inside
+    one atom gets exactly its value, and bins with equal values merge into
+    one atom.
     """
-    edges = np.linspace(0.0, 1.0, n_types + 1)
-    v_edges = np.asarray(F.quantile(np.clip(edges, 1e-12, 1.0 - 1e-12)), dtype=float)
+    u = np.clip(np.linspace(0.0, 1.0, n_types + 1), 1e-12, 1.0 - 1e-12)
+    width = np.diff(u)
+    v_edges = np.asarray(F.quantile(u), dtype=float)
     ends = [e for seg in F.density_segments() for e in seg]
-    values = []
-    for a, b in zip(v_edges[:-1], v_edges[1:]):
-        if b <= a:
-            values.append(a)
-            continue
-        num = adaptive_quad(lambda v: np.asarray(v) * F.pdf(v), a, b,
-                            points=ends).value
-        # the bin holds the atoms in (a, b], as its mass F(b) - F(a) does
-        num += sum(mass * loc for loc, mass in F.atoms() if a < loc <= b)
-        den = float(F.cdf(b) - F.cdf(a))
-        values.append(num / den if den > 0 else 0.5 * (a + b))
-    masses = np.full(n_types, 1.0 / n_types)
-    return tuple(values), tuple(masses)
+    locs, mass = np.array(F.atoms()).reshape(-1, 2).T
+    top = np.asarray(F.cdf(locs), dtype=float)
+    overlap = (np.minimum(u[1:, None], top)
+               - np.maximum(u[:-1, None], top - mass))
+    value = np.maximum(overlap, 0.0) / width[:, None] @ locs
+    for i, (a, b) in enumerate(zip(v_edges[:-1], v_edges[1:])):
+        if ends and b > a:
+            value[i] += adaptive_quad(lambda v: np.asarray(v) * F.pdf(v),
+                                      a, b, points=ends).value / width[i]
+    values, bins = np.unique(value, return_inverse=True)
+    return Discrete(values=values,
+                    masses=np.bincount(bins, minlength=values.size) / n_types)

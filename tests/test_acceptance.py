@@ -289,25 +289,18 @@ def test_criterion_11_procurement():
 def test_criterion_12_oracle_equivalence():
     t0 = time.time()
     cost = mg.IsoElasticCost(eta=2.0)
-    from markup_guarantee.screening import (DiscreteScreeningInstance,
-                                            discrete_oracle, discretize)
-    values, masses = discretize(mg.Pareto(3.0), 10)
-    F10 = mg.Discrete(values=values, masses=masses)
+    from markup_guarantee.screening import discrete_oracle, discretize
+    F10 = discretize(mg.Pareto(3.0), 10)
     Pi10, _ = mg.mechanism_profit(F10, mg.bayes_optimal_mechanism(F10, cost),
                                   cost)
-    grid = tuple(np.linspace(0.0, 1.1 * max(values), 15))
-    inst = DiscreteScreeningInstance(values=values, masses=masses, cost=cost,
-                                     quality_grid=grid)
-    res10 = discrete_oracle(inst, mode="exhaustive")
+    grid = tuple(np.linspace(0.0, 1.1 * max(F10.values), 15))
+    res10 = discrete_oracle(F10, cost, grid, mode="exhaustive")
     gap10 = abs(Pi10 - res10.profit) / res10.profit
 
-    values40, masses40 = discretize(mg.Pareto(3.0), 40)
-    F40 = mg.Discrete(values=values40, masses=masses40)
+    F40 = discretize(mg.Pareto(3.0), 40)
     Pi40, _ = mg.mechanism_profit(F40, mg.bayes_optimal_mechanism(F40, cost),
                                   cost)
-    inst40 = DiscreteScreeningInstance(values=values40, masses=masses40,
-                                       cost=cost)
-    res40 = discrete_oracle(inst40, mode="reduced")
+    res40 = discrete_oracle(F40, cost, mode="reduced")
     gap40 = abs(Pi40 - res40.profit) / res40.profit
     elapsed = time.time() - t0
     ok = gap10 < 0.02 and gap40 < 0.005 and elapsed < 60.0

@@ -125,6 +125,28 @@ class TestOracle:
         assert run(["oracle", "--config", cfg]) == 0
         assert "pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("law", [
+        {"kind": "binary", "v_lo": 1, "v_hi": 2, "p_hi": 0.3},
+        {"kind": "mixture", "weights": [0.7, 0.3],
+         "components": [{"kind": "uniform", "a": 0, "b": 1},
+                        {"kind": "point_mass", "v0": 0.5}]},
+    ], ids=["binary", "uniform-and-atom"])
+    def test_law_with_atoms_is_discretized(self, tmp_path, capsys, law):
+        # bins inside an atom once repeated its value, which the atomic law
+        # rejected as not ascending (exit 2)
+        cfg = write_cfg(tmp_path, "o.json", {
+            "version": 1, "distribution": law, "n_types": 10})
+        assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "oracle.json").read_text())
+        assert rep["pass"] and rep["relative_gap"] < 0.005
+
+    def test_invalid_masses_are_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "o.json", {
+            "version": 1, "values": [1.0, 2.0], "masses": [1.5, -0.5],
+            "quality_grid": [0.0, 1.0, 2.0]})
+        assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "masses must be positive" in capsys.readouterr().err
+
 
 class TestProcure:
     def test_quality_table(self, tmp_path, capsys):

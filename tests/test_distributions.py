@@ -9,6 +9,9 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             Uniform, distribution_from_spec,
                                             minimax_distribution,
                                             tail_condition)
+from markup_guarantee.functionals import full_report
+from markup_guarantee.mechanisms import guarantee_mechanism
+from markup_guarantee.screening import bayes_optimal_mechanism
 from markup_guarantee.technology import IsoElasticCost
 
 ALL_EXAMPLES = [
@@ -126,6 +129,54 @@ def test_spec_rejects_unknown():
         distribution_from_spec({"alpha": 2.0})
 
 
+# Binary and PointMass are Discrete laws named by their parameters
+_NAMED_ATOMIC = [
+    (Binary(1.0, 2.0, 0.3), Discrete((1.0, 2.0), (0.7, 0.3))),
+    (Binary(0.0, 5.0, 1e-3), Discrete((0.0, 5.0), (1.0 - 1e-3, 1e-3))),
+    (PointMass(1.5), Discrete((1.5,), (1.0,))),
+]
+
+
+@pytest.mark.parametrize("F, twin", _NAMED_ATOMIC,
+                         ids=lambda F: repr(F).replace(" ", ""))
+def test_named_atomic_law_matches_its_discrete_twin(F, twin):
+    assert isinstance(F, Discrete)
+    v = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 1.7, 2.0, 3.0, 5.0, 6.0])
+    np.testing.assert_array_equal(F.cdf(v), twin.cdf(v))
+    np.testing.assert_array_max_ulp(F.sf(v), twin.sf(v), maxulp=1)
+    assert F.atoms() == twin.atoms()
+    u = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_array_equal(F.quantile(u), twin.quantile(u))
+    for eta in (2.0, 3.0):
+        cost = IsoElasticCost(eta)
+        for menu in (lambda G: bayes_optimal_mechanism(G, cost),
+                     lambda G: guarantee_mechanism(eta)):
+            a, b = full_report(F, menu(F), cost), full_report(twin, menu(twin),
+                                                                cost)
+            assert abs(a.pi_ratio - b.pi_ratio) <= 1e-15
+            assert abs(a.u_ratio - b.u_ratio) <= 1e-15
+
+
+def test_binary_sf_sums_from_the_top():
+    # P(V > v) between the atoms is p_hi itself, not 1 - (1 - p_hi)
+    assert Binary(1.0, 2.0, 0.3).sf(1.5) == 0.3
+
+
+@pytest.mark.parametrize("F, spec", [
+    (Binary(1.0, 2.0, 0.1), {"kind": "binary", "v_lo": 1.0, "v_hi": 2.0,
+                             "p_hi": 0.1}),
+    (Binary(0.5, 3.0, 1e-17), {"kind": "binary", "v_lo": 0.5, "v_hi": 3.0,
+                               "p_hi": 1e-17}),
+    (PointMass(0.7), {"kind": "point_mass", "v0": 0.7}),
+], ids=["binary", "binary-tiny-p", "point-mass"])
+def test_named_atomic_spec_keeps_kind_and_exact_parameters(F, spec):
+    # p_hi is kept exactly even where 1 - p_hi rounds to 1
+    assert F.to_spec() == spec
+    rebuilt = distribution_from_spec(spec)
+    assert type(rebuilt) is type(F) and rebuilt == F
+    assert rebuilt.to_spec() == spec
+
+
 def test_discrete_validation():
     with pytest.raises(ValueError):
         Discrete(values=(2.0, 1.0), masses=(0.5, 0.5))
@@ -141,6 +192,14 @@ def test_discrete_validation():
     pytest.param(lambda: Uniform(0.0, math.inf), id="uniform-inf"),
     pytest.param(lambda: Uniform(math.nan, 1.0), id="uniform-nan"),
     pytest.param(lambda: Binary(1.0, math.inf, 0.3), id="binary-inf"),
+    pytest.param(lambda: Binary(math.nan, 2.0, 0.3), id="binary-nan"),
+    pytest.param(lambda: Binary(-1.0, 2.0, 0.3), id="binary-negative"),
+    pytest.param(lambda: Binary(2.0, 1.0, 0.3), id="binary-descending"),
+    pytest.param(lambda: Binary(1.0, 1.0, 0.3), id="binary-equal"),
+    pytest.param(lambda: Binary(1.0, 2.0, 0.0), id="binary-p-zero"),
+    pytest.param(lambda: Binary(1.0, 2.0, 1.0), id="binary-p-one"),
+    pytest.param(lambda: Binary(1.0, 2.0, 1.5), id="binary-p-above-one"),
+    pytest.param(lambda: Binary(1.0, 2.0, math.nan), id="binary-p-nan"),
     pytest.param(lambda: Power(math.nan), id="power-nan"),
     pytest.param(lambda: Power(math.inf), id="power-inf"),
     pytest.param(lambda: Discrete((1.0, math.nan), (0.5, 0.5)),
@@ -148,6 +207,8 @@ def test_discrete_validation():
     pytest.param(lambda: Discrete((1.0, 2.0, 3.0), (0.5, 0.0, 0.5)),
                  id="discrete-zero-mass"),
     pytest.param(lambda: PointMass(math.inf), id="point-mass-inf"),
+    pytest.param(lambda: PointMass(math.nan), id="point-mass-nan"),
+    pytest.param(lambda: PointMass(-0.5), id="point-mass-negative"),
     pytest.param(lambda: Mixture((Uniform(0.0, 1.0), Power(2.0)),
                                  (math.nan, 1.0)), id="mixture-nan"),
     pytest.param(lambda: IsoElasticCost(math.nan), id="cost-nan"),

@@ -21,8 +21,7 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
 from markup_guarantee.functionals import full_report, mechanism_profit
 from markup_guarantee.guarantees import boundary
 from markup_guarantee.mechanisms import ic_audit
-from markup_guarantee.screening import (AtomError, DiscreteScreeningInstance,
-                                        bayes_markup_curve,
+from markup_guarantee.screening import (AtomError, bayes_markup_curve,
                                         bayes_optimal_mechanism,
                                         discrete_oracle,
                                         discrete_virtual_values, discretize,
@@ -140,7 +139,7 @@ class TestIroning:
                     weights=(0.5, 0.5))
         cost = IsoElasticCost(eta=2.0)
         M = bayes_optimal_mechanism(F, cost)
-        curve = M.virtual_curve
+        curve = iron(F)
         v = np.linspace(1e-4, 1.0 - 1e-4, 4001)
         f = np.asarray(F.pdf(v), dtype=float)
         q = np.asarray(M.Q(v), dtype=float)
@@ -159,7 +158,7 @@ class TestIroning:
                     weights=(0.5, 0.5))
         cost = IsoElasticCost(eta=2.0)
         M = bayes_optimal_mechanism(F, cost)
-        curve = M.virtual_curve
+        curve = iron(F)
         r6 = math.sqrt(6.0)
         assert len(curve.ironed_intervals) == 1
         lo, hi, const = curve.ironed_intervals[0]
@@ -179,7 +178,7 @@ class TestIroning:
         F = Binary(1.0, 2.0, 0.3)
         M = bayes_optimal_mechanism(F, IsoElasticCost(eta=2.0))
         np.testing.assert_allclose(
-            M.virtual_curve.ironed_intervals,
+            iron(F).ironed_intervals,
             ((1.0, 2.0, 0.4 / 0.7), (2.0, math.inf, 2.0)), rtol=0, atol=1e-15)
         np.testing.assert_allclose(M.Q([1.0, 1.5, 2.0]),
                                    [0.4 / 0.7, 0.4 / 0.7, 2.0], atol=1e-15)
@@ -429,19 +428,19 @@ class TestBayesOptimal:
                                                                rel=1e-9)
 
 
-def _enumerate_menus(inst):
-    """The oracle's own oracle: price every nondecreasing menu on the grid
-    by binding adjacent ICs downward; the first best in lexicographic order
-    wins.  Returns (profit, allocation)."""
-    values = np.asarray(inst.values)
-    masses = np.asarray(inst.masses)
+def _enumerate_menus(F, cost, grid):
+    """The oracle's own oracle: price every nondecreasing menu on the
+    sorted grid by binding adjacent ICs downward; the first best in
+    lexicographic order wins.  Returns (profit, allocation)."""
+    values = np.asarray(F.values)
+    masses = np.asarray(F.masses)
     best = (-math.inf, None)
     for idx in itertools.combinations_with_replacement(
-            range(len(inst.quality_grid)), len(values)):
-        q = np.asarray(inst.quality_grid)[list(idx)]
+            range(len(grid)), len(values)):
+        q = np.asarray(grid)[list(idx)]
         rent = np.concatenate([[0.0], np.cumsum(np.diff(values) * q[:-1])])
         t = values * q - rent
-        profit = float(((t - np.asarray(inst.cost.c(q))) * masses).sum())
+        profit = float(((t - np.asarray(cost.c(q))) * masses).sum())
         if profit > best[0]:
             best = (profit, tuple(q))
     return best
@@ -450,11 +449,10 @@ def _enumerate_menus(inst):
 class TestDiscreteOracle:
     def test_two_type_hand_computation(self):
         # phi_1 = 1 - 0.5/0.5 = 0 -> excluded; phi_2 = 2 -> q = 2, profit 1
-        inst = DiscreteScreeningInstance(
-            values=(1.0, 2.0), masses=(0.5, 0.5),
-            cost=IsoElasticCost(eta=2.0),
-            quality_grid=tuple(np.linspace(0.0, 2.5, 26)))
-        res = discrete_oracle(inst, mode="exhaustive")
+        res = discrete_oracle(Discrete(values=(1.0, 2.0), masses=(0.5, 0.5)),
+                              IsoElasticCost(eta=2.0),
+                              tuple(np.linspace(0.0, 2.5, 26)),
+                              mode="exhaustive")
         assert res.profit == pytest.approx(1.0, abs=1e-9)
         assert res.allocation[0] == 0.0
         assert res.allocation[1] == pytest.approx(2.0)
@@ -464,31 +462,26 @@ class TestDiscreteOracle:
         masses = (0.3, 0.4, 0.3)
         cost = IsoElasticCost(eta=2.0)
         grid = tuple(np.linspace(0.0, 2.5, 51))
-        inst = DiscreteScreeningInstance(values=values, masses=masses,
-                                         cost=cost, quality_grid=grid)
-        ex = discrete_oracle(inst, mode="exhaustive")
-        red = discrete_oracle(inst, mode="reduced")
+        F = Discrete(values=values, masses=masses)
+        ex = discrete_oracle(F, cost, grid, mode="exhaustive")
+        red = discrete_oracle(F, cost, grid, mode="reduced")
         assert ex.profit == pytest.approx(red.profit, rel=2e-3)
 
     def test_large_instance_stays_below_reduced(self):
         # 15 types x 40 grid points is ~8.7e12 nondecreasing menus; the
         # grid optimum cannot beat the exact continuous-quality optimum
-        inst = DiscreteScreeningInstance(
-            values=tuple(range(1, 16)),
-            masses=tuple([1.0 / 15] * 15),
-            cost=IsoElasticCost(eta=2.0),
-            quality_grid=tuple(np.linspace(0, 20, 40)))
-        ex = discrete_oracle(inst, mode="exhaustive")
-        red = discrete_oracle(inst, mode="reduced")
+        F = Discrete(values=tuple(range(1, 16)), masses=tuple([1.0 / 15] * 15))
+        cost, grid = IsoElasticCost(eta=2.0), tuple(np.linspace(0, 20, 40))
+        ex = discrete_oracle(F, cost, grid, mode="exhaustive")
+        red = discrete_oracle(F, cost, grid, mode="reduced")
         assert ex.profit <= red.profit
         assert (red.profit - ex.profit) / red.profit < 1e-3
 
     def test_exact_tie_takes_smallest_menu(self):
         # w = (0, 1): q2 = 1.5 and q2 = 2.5 both earn q - q^2 / 4 = 0.9375
-        inst = DiscreteScreeningInstance(
-            values=(1.0, 2.0), masses=(0.5, 0.5),
-            cost=IsoElasticCost(eta=2.0), quality_grid=(0.0, 1.5, 2.5))
-        res = discrete_oracle(inst, mode="exhaustive")
+        res = discrete_oracle(Discrete(values=(1.0, 2.0), masses=(0.5, 0.5)),
+                              IsoElasticCost(eta=2.0), (0.0, 1.5, 2.5),
+                              mode="exhaustive")
         assert res.allocation == (0.0, 1.5)
         assert res.profit == 0.9375
         assert res.warnings == ()
@@ -503,21 +496,48 @@ class TestDiscreteOracle:
             g_top = 1.2 * values[-1] ** (1.0 / (eta - 1.0))
             grid = np.concatenate(
                 [[0.0], np.sort(rng.uniform(0.0, g_top, int(rng.integers(1, 11))))])
-            inst = DiscreteScreeningInstance(
-                values=tuple(values), masses=tuple(masses),
-                cost=IsoElasticCost(eta=eta), quality_grid=tuple(grid))
-            profit, alloc = _enumerate_menus(inst)
-            res = discrete_oracle(inst, mode="exhaustive")
+            F = Discrete(values=tuple(values), masses=tuple(masses))
+            cost = IsoElasticCost(eta=eta)
+            profit, alloc = _enumerate_menus(F, cost, grid)
+            res = discrete_oracle(F, cost, tuple(grid), mode="exhaustive")
             assert res.profit == pytest.approx(profit, rel=1e-12, abs=0.0)
             assert res.allocation == alloc
 
     def test_grid_boundary_warning(self):
-        inst = DiscreteScreeningInstance(
-            values=(1.0, 2.0), masses=(0.5, 0.5),
-            cost=IsoElasticCost(eta=2.0),
-            quality_grid=(0.0, 0.5, 1.0))  # optimum wants q = 2
-        res = discrete_oracle(inst, mode="exhaustive")
+        res = discrete_oracle(Discrete(values=(1.0, 2.0), masses=(0.5, 0.5)),
+                              IsoElasticCost(eta=2.0),
+                              (0.0, 0.5, 1.0),  # optimum wants q = 2
+                              mode="exhaustive")
         assert res.warnings
+
+    @pytest.mark.parametrize("values, masses", [
+        ((1.0, 2.0), (1.5, -0.5)),
+        ((math.nan, 2.0), (0.5, 0.5)),
+        ((-1.0, 2.0), (0.5, 0.5)),
+    ], ids=["negative-mass", "nan-value", "negative-value"])
+    def test_invalid_law_never_reaches_the_oracle(self, values, masses):
+        # these once gave profits of 0.5, NaN and 1.0; the law is now
+        # rejected when it is built
+        with pytest.raises(ValueError):
+            discrete_oracle(Discrete(values=values, masses=masses),
+                            IsoElasticCost(eta=2.0), (0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("grid, mode, message", [
+        ((), "exhaustive", "needs a quality grid"),
+        ((0.5, 1.0), "exhaustive", "must include 0"),
+        ((0.0, 1.0, math.nan), "exhaustive", "must be finite"),
+        ((0.0, math.inf), "exhaustive", "must be finite"),
+        ((0.0, 1.0), "greedy", "mode must be"),
+    ], ids=["empty", "no-zero", "nan", "inf", "bad-mode"])
+    def test_bad_grid_or_mode_rejected(self, grid, mode, message):
+        F = Discrete(values=(1.0, 2.0), masses=(0.5, 0.5))
+        with pytest.raises(ValueError, match=message):
+            discrete_oracle(F, IsoElasticCost(eta=2.0), grid, mode=mode)
+
+    def test_grid_is_sorted(self):
+        F, cost = Discrete(values=(1.0, 2.0), masses=(0.5, 0.5)), IsoElasticCost(2.0)
+        shuffled = discrete_oracle(F, cost, (2.5, 0.0, 1.5), mode="exhaustive")
+        assert shuffled == discrete_oracle(F, cost, (0.0, 1.5, 2.5))
 
     def test_discrete_virtuals_formula(self):
         phi = discrete_virtual_values((1.0, 2.0), (0.5, 0.5))
@@ -526,9 +546,24 @@ class TestDiscreteOracle:
 
 def test_discretize_preserves_mean():
     F = Power(alpha=2.0)
-    values, masses = discretize(F, 20)
-    mean = sum(v * m for v, m in zip(values, masses))
+    D = discretize(F, 20)
+    mean = sum(v * m for v, m in D.atoms())
     assert mean == pytest.approx(F.power_moment(1.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("F, expected", [
+    (Binary(1.0, 2.0, 0.3), ((1.0, 0.6), (2.0, 0.3))),
+    (Mixture((Uniform(0.0, 1.0), PointMass(0.5)), (0.7, 0.3)),
+     ((0.5, 0.2),)),
+], ids=["binary", "uniform-and-atom"])
+def test_discretize_laws_with_atoms(F, expected):
+    # bins inside one atom take its value exactly and merge into one atom;
+    # a bin's value is the mean of V over its share, so the values ascend
+    # and the mean is kept
+    D = discretize(F, 10)
+    assert set(expected) <= set(D.atoms())
+    assert sum(v * m for v, m in D.atoms()) == pytest.approx(
+        F.power_moment(1.0), rel=1e-12)
 
 
 def test_discretize_splits_bins_at_density_jumps():
@@ -540,7 +575,8 @@ def test_discretize_splits_bins_at_density_jumps():
                 (0.38315019488531304, 0.546797758968425, 0.07005204614626195))
     jumps = (1.0, 1.7055309704983412)
     n = 13
-    values, masses = discretize(F, n)
+    D = discretize(F, n)
+    values, masses = D.values, D.masses
     edges = F.quantile(np.clip(np.linspace(0.0, 1.0, n + 1), 1e-12,
                                1.0 - 1e-12))
     for value, a, b in zip(values, edges[:-1], edges[1:]):

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from . import __version__
 from .distributions import (Binary, Discrete, PointMass, Power,
                             TruncatedPareto, Uniform, _spec_field,
                             distribution_from_spec)
-from .functionals import InfiniteSurplusError, full_report, mechanism_profit
+from .functionals import (InfiniteSurplusError, SurplusReport, full_report,
+                          mechanism_profit)
 from .guarantees import (boundary, consumer_share, feasible_beta_interval,
                          frontier, frontier_attaining_shape, guarantee_ratio,
                          holder_audit, membership, procurement_quality,
@@ -450,13 +452,12 @@ def cmd_sweep(args):
         return full_report(F, M, cost)
 
     reports = [run(F) for F in battery]
-    from .functionals import SurplusReport
     header = ["distribution", *SurplusReport.csv_header]
     rows = [[json.dumps(F.to_spec(), sort_keys=True), *rep.csv_row()]
             for F, rep in zip(battery, reports)]
     if args.format == "json":
         text = "\n".join(
-            json.dumps({"distribution": F.to_spec(), **json.loads(rep.to_json())},
+            json.dumps({"distribution": F.to_spec(), **asdict(rep)},
                        sort_keys=True)
             for F, rep in zip(battery, reports)) + "\n"
         _emit(args, "sweep.jsonl", text)

@@ -61,15 +61,17 @@ def _require_positive_surplus(S):
 
 
 def _weighted(g, weight):
-    """v -> g(v) weight(v), with g evaluated only where the weight is not 0.
+    """v -> g(v) weight(v), with g evaluated only where |weight| is at least
+    the smallest normal float64, about 2.2e-308, and 0 elsewhere.
 
-    Where a law's density or survival underflows to 0 the product is 0
-    whatever g is, and g need not be defined or finite there (a menu's
-    virtual value needs a positive density; a power of v may overflow).
+    Where a law's density or survival underflows the product is below
+    2.2e-308 |g|, and g need not be defined or finite there (a menu's
+    virtual value needs a positive density, which a subnormal survival can
+    outlive by no margin; a power of v may overflow).
     """
     def integrand(v):
         w = np.asarray(weight(v), dtype=float)
-        live = w != 0.0
+        live = np.abs(w) >= np.finfo(float).tiny
         if live.all():
             return np.asarray(g(v), dtype=float) * w
         gv = np.asarray(g(v[live]), dtype=float)

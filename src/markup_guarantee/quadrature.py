@@ -6,15 +6,18 @@ of a menu) as `points`, and each piece between them is refined on its own,
 so no piece is starved by a wider one.  A panel costs one integrand call on
 the 21 nodes of the 10/21 Gauss-Kronrod pair: the Kronrod sum is the
 estimate and its distance from the 10-point Gauss sum on the same values
-is the error; panels that miss their share of the tolerance are bisected.  An
-infinite upper limit folds the tail beyond the last point to a finite panel
-with the substitution u = 1/v, which turns Pareto-type tails into (at
-worst) mild endpoint power singularities that the open node set tolerates.
-Breakpoints and the infinite limit are arguments of the integrator, as in
-QUADPACK's qagp and qagi (Piessens et al., 1983).  An integrand may return a
-(k, n) stack of k integrands on n points; the rows share every panel, piece
-and tail fold, each row is held to its own tolerance, and a panel is
-accepted only when every row fits its share, as in DCUHRE's vector
+is the error.  An infinite upper limit folds the tail beyond the last point
+to a finite panel with the substitution u = 1/v, which turns Pareto-type
+tails into (at worst) mild endpoint power singularities that the open node
+set tolerates.  So a piece can be singular only at its ends: panels that
+miss their share of the tolerance are bisected, and one that touches an end
+of its piece is also cut geometrically toward that end, the graded
+subdivision that converges on endpoint singularities (Davis & Rabinowitz,
+1984).  Breakpoints and the infinite limit are arguments of the integrator,
+as in QUADPACK's qagp and qagi (Piessens et al., 1983).  An integrand may
+return a (k, n) stack of k integrands on n points; the rows share every
+panel, piece and tail fold, each row is held to its own tolerance, and a
+panel is accepted only when every row fits its share, as in DCUHRE's vector
 integrands (Berntsen, Espelid & Genz, 1991).
 """
 
@@ -148,7 +151,9 @@ def adaptive_quad(f, a, b, *, points=()):
     points in (a, b) is refined to the tolerance on its own, with its own
     budget of 1,000,000 integrand values.  b may be inf: the tail beyond
     the last point is folded by u = 1/v, so it must start at a positive
-    value.
+    value.  A failing panel at an end of its piece is graded toward that
+    end, so an integrable singularity there, such as x^(-1/2) or the fold
+    of a Pareto tail, costs a few rounds of integrand calls.
 
     Returns a QuadResult (value, error_estimate) summed over the pieces,
     with arrays of k values and errors for a stack (0.0 and 0.0 when
@@ -181,8 +186,9 @@ def adaptive_quad(f, a, b, *, points=()):
 
 
 def _adapt(f, a, b):
-    """Adaptive bisection of one smooth piece [a, b]; returns (value, error),
-    floats for one integrand and arrays for a stack."""
+    """Adaptive refinement of one piece [a, b], smooth inside (see
+    `_split`); returns (value, error), floats for one integrand and arrays
+    for a stack."""
     # geometric seeding keeps panel widths commensurate with position on
     # log-wide ranges (heavy-tail segments), where uniform bisection from a
     # single panel wastes most of its depth budget
@@ -232,7 +238,29 @@ def _adapt(f, a, b):
                 error=done_error + rem_e,
             )
         if lo.size:
-            mid = 0.5 * (lo + hi)
-            lo = np.concatenate([lo, mid])
-            hi = np.concatenate([mid, hi])
+            lo, hi = _split(lo, hi, a, b)
     return done_value, done_error
+
+
+# cuts toward a piece's end, as fractions of the cut panel's half-width
+_GRADES = np.array([1.0 / 64.0, 1.0 / 16.0, 0.25])
+_NO_CUTS = np.empty(0)
+
+
+def _split(lo, hi, a, b):
+    """Bisect every failing panel, and cut one that touches an end of the
+    piece [a, b] also at 1/64, 1/16 and 1/4 of its half-width from that end
+    (from both ends when it spans the piece).  Callers name every kink, jump
+    and atom as a point and the tail fold puts 1/v at u = 0, so a piece is
+    only singular at its ends: there the end panel shrinks to 1/128 of its
+    width per round, where bisection halves it.
+
+    Only the first panel can start at a and only the last can end at b:
+    the seeding orders the panels, and the children keep the end panels'
+    places.  Returns the children's ends."""
+    mid = 0.5 * (lo + hi)
+    head = lo[0] + (mid[0] - lo[0]) * _GRADES if lo[0] == a else _NO_CUTS
+    tail = (hi[-1] - (hi[-1] - mid[-1]) * _GRADES[::-1] if hi[-1] == b
+            else _NO_CUTS)
+    return (np.concatenate([lo[:1], head, lo[1:], mid, tail]),
+            np.concatenate([head, mid, hi[:-1], tail, hi[-1:]]))

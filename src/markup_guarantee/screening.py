@@ -451,16 +451,20 @@ def discretize(F: ValueDistribution, n_types: int) -> Discrete:
     between its end values, plus each atom's value times the overlap of its
     share [F(loc) - m, F(loc)] with the bin) / (u_hi - u_lo).  A bin inside
     one atom gets exactly its value, and bins with equal values merge into
-    one atom.
+    one atom.  A u-edge or a share's lower end within a few ulps of an
+    atom's F(loc) is snapped onto it, so that rounding leaves no bin a
+    sliver of a neighbouring atom.
     """
     u = np.clip(np.linspace(0.0, 1.0, n_types + 1), 1e-12, 1.0 - 1e-12)
+    locs, mass = np.array(F.atoms()).reshape(-1, 2).T
+    top = np.asarray(F.cdf(locs), dtype=float)
+    bottom = _snap(top - mass, top)
+    u = _snap(u, top)
     width = np.diff(u)
     v_edges = np.asarray(F.quantile(u), dtype=float)
     ends = [e for seg in F.density_segments() for e in seg]
-    locs, mass = np.array(F.atoms()).reshape(-1, 2).T
-    top = np.asarray(F.cdf(locs), dtype=float)
     overlap = (np.minimum(u[1:, None], top)
-               - np.maximum(u[:-1, None], top - mass))
+               - np.maximum(u[:-1, None], bottom))
     value = np.maximum(overlap, 0.0) / width[:, None] @ locs
     for i, (a, b) in enumerate(zip(v_edges[:-1], v_edges[1:])):
         if ends and b > a:
@@ -469,3 +473,10 @@ def discretize(F: ValueDistribution, n_types: int) -> Discrete:
     values, bins = np.unique(value, return_inverse=True)
     return Discrete(values=values,
                     masses=np.bincount(bins, minlength=values.size) / n_types)
+
+
+def _snap(x, onto):
+    """x with each entry within 4 ulps of an entry of onto replaced by it."""
+    for y in onto:
+        x = np.where(np.abs(x - y) <= 4.0 * np.spacing(y), y, x)
+    return x

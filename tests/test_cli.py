@@ -6,6 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
+import markup_guarantee as mg
 from markup_guarantee.cli import build_parser, main
 
 
@@ -190,6 +191,31 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
         assert ("uniform" in rows[0] and "power" in rows[1]
                 and "point_mass" in rows[2])
+
+    @pytest.mark.parametrize("mechanism", ["guarantee", "bayes_optimal"])
+    def test_json_rows_are_the_reports_own_json(self, tmp_path, mechanism):
+        # each sweep.jsonl row is the law's spec merged into the report's
+        # to_json, byte for byte
+        battery = [{"kind": "uniform", "a": 0.0, "b": 1.0},
+                   {"kind": "pareto", "alpha": 3.1},
+                   {"kind": "binary", "v_lo": 1.0, "v_hi": 2.0, "p_hi": 0.3}]
+        cfg = write_cfg(tmp_path, "s.json", {
+            "version": 1, "eta": 2.0, "mechanism": mechanism,
+            "battery": battery})
+        assert run(["sweep", "--config", cfg, "--format", "json",
+                    "--out", str(tmp_path)]) == 0
+        cost = mg.IsoElasticCost(eta=2.0)
+        expected = []
+        for spec in battery:
+            F = mg.distribution_from_spec(spec)
+            M = (mg.guarantee_mechanism(2.0) if mechanism == "guarantee"
+                 else mg.bayes_optimal_mechanism(F, cost))
+            rep = mg.full_report(F, M, cost)
+            expected.append(json.dumps(
+                {"distribution": F.to_spec(), **json.loads(rep.to_json())},
+                sort_keys=True))
+        assert (tmp_path / "sweep.jsonl").read_text() == \
+            "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("spec", [
         {"kind": "power", "alpha": float("nan")},

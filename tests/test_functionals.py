@@ -8,13 +8,15 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             PointMass, Power, TruncatedPareto,
                                             Uniform)
 from markup_guarantee.functionals import (InfiniteSurplusError, SurplusReport,
-                                          consumer_surplus, efficient_surplus,
+                                          _weighted, consumer_surplus,
+                                          efficient_surplus,
                                           expectation, full_report,
                                           mechanism_profit,
                                           quantity_surplus_report,
                                           survival_integral)
 from markup_guarantee.guarantees import consumer_share, guarantee_ratio
 from markup_guarantee.mechanisms import DirectMechanism, guarantee_mechanism
+from markup_guarantee.screening import bayes_optimal_mechanism
 from markup_guarantee.technology import (IsoElasticCost,
                                          NonlinearDemandModel, PolynomialCost,
                                          SeparableQuantityUtility)
@@ -59,6 +61,16 @@ class TestSurvivalIntegral:
         val, _ = survival_integral(F, lambda v: np.ones_like(np.asarray(v, dtype=float)))
         # 1 + int_1^inf v^{-2.5} = 1 + 1/1.5
         assert val == pytest.approx(1.0 + 1.0 / 1.5, rel=1e-9)
+
+    def test_subnormal_survival_skips_the_integrand(self):
+        # at this v the survival is the subnormal 5e-324 while the density
+        # is 0, so the Bayes menu's virtual value cannot be evaluated; the
+        # product is below 2.2e-308 |Q| and counts as 0
+        F = Pareto(1000.0)
+        M = bayes_optimal_mechanism(F, IsoElasticCost(eta=2.0))
+        v = np.array([2.10659638392184])
+        assert F.sf(v)[0] == 5e-324 and F.pdf(v)[0] == 0.0
+        assert _weighted(M.Q, F.sf)(v).tolist() == [0.0]
 
 
 class TestEfficientSurplus:

@@ -59,6 +59,73 @@ def test_endpoint_singularity():
     assert res.value == pytest.approx(2.0, rel=1e-6)
 
 
+def _counted(f):
+    seen = []
+
+    def g(x):
+        seen.append(np.size(x))
+        return f(x)
+    return g, seen
+
+
+@pytest.mark.parametrize("f, a, b, exact, max_calls", [
+    # x^(-1/2) at 0: plain bisection needs 51 integrand calls
+    (lambda x: np.asarray(x) ** -0.5, 0.0, 1.0, 2.0, 10),
+    # the Bayes allocation at eta = 3 starts like (v - c)^(1/2) at the
+    # exclusion cutoff c: plain bisection needs 13
+    (lambda x: np.sqrt(np.maximum(np.asarray(x) - 0.3, 0.0)), 0.3, 1.0,
+     (2.0 / 3.0) * 0.7 ** 1.5, 3),
+    # a Pareto-type tail, folded to u^(-0.57) at u = 0: plain bisection
+    # needs 60
+    (lambda v: np.asarray(v, dtype=float) ** -1.43, 1.0, math.inf,
+     1.0 / 0.43, 11),
+], ids=["inverse-sqrt", "cutoff-sqrt", "folded-tail"])
+def test_endpoint_singularity_converges_in_a_few_calls(f, a, b, exact,
+                                                       max_calls):
+    # a piece is only singular at its ends, and a failing end panel is cut
+    # geometrically toward that end and shrinks 128-fold per round
+    g, seen = _counted(f)
+    res = adaptive_quad(g, a, b)
+    assert abs(res.value - exact) <= res.error
+    assert res.error <= max(1e-11, 1e-9 * abs(res.value))
+    assert len(seen) <= max_calls
+
+
+@pytest.mark.parametrize("f, a, b, value, error", [
+    (np.cos, 0.0, 2.0, "0x1.d18f6ead1b445p-1", "0x1.0000000000000p-53"),
+    # eight decades: the geometric seed panels
+    (lambda v: 1.0 / np.asarray(v), 1.0, 1e8, "0x1.26bb1bbb55514p+4",
+     "0x1.5400000000000p-47"),
+], ids=["one-panel", "geometric-seed"])
+def test_piece_accepted_in_its_first_round_keeps_its_bits(f, a, b, value,
+                                                          error):
+    # the first round is not refined, so grading cannot change its sums
+    g, seen = _counted(f)
+    res = adaptive_quad(g, a, b)
+    assert len(seen) == 1
+    assert res.value.hex() == value and res.error.hex() == error
+
+
+def test_split_grades_only_panels_at_a_piece_end():
+    # panels on [0, 8]: one at each end and one inside
+    lo, hi = quadrature._split(np.array([0.0, 2.0, 6.0]),
+                               np.array([2.0, 6.0, 8.0]), 0.0, 8.0)
+    h = 1.0     # the end panels' half-width
+    cuts = [0.0, h / 64, h / 16, h / 4, 1.0, 2.0, 4.0, 6.0, 7.0,
+            8.0 - h / 4, 8.0 - h / 16, 8.0 - h / 64, 8.0]
+    assert sorted(zip(lo, hi)) == list(zip(cuts[:-1], cuts[1:]))
+    # the children at the piece's ends stay first and last
+    assert (lo[0], hi[-1]) == (0.0, 8.0)
+    # a panel that spans the piece is graded toward both ends
+    lo, hi = quadrature._split(np.array([0.0]), np.array([2.0]), 0.0, 2.0)
+    cuts = [0.0, h / 64, h / 16, h / 4, 1.0, 2.0 - h / 4, 2.0 - h / 16,
+            2.0 - h / 64, 2.0]
+    assert sorted(zip(lo, hi)) == list(zip(cuts[:-1], cuts[1:]))
+    # a panel inside the piece is bisected
+    lo, hi = quadrature._split(np.array([2.0]), np.array([6.0]), 0.0, 8.0)
+    assert (lo.tolist(), hi.tolist()) == ([2.0, 4.0], [4.0, 6.0])
+
+
 def test_tail_pareto():
     # int_1^inf v^{-2} dv = 1
     res = adaptive_quad(lambda v: np.asarray(v, dtype=float) ** -2, 1.0,

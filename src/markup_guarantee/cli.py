@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -452,18 +451,17 @@ def cmd_sweep(args):
         return full_report(F, M, cost)
 
     reports = [run(F) for F in battery]
-    header = ["distribution", *SurplusReport.csv_header]
-    rows = [[json.dumps(F.to_spec(), sort_keys=True), *rep.csv_row()]
-            for F, rep in zip(battery, reports)]
     if args.format == "json":
         text = "\n".join(
-            json.dumps({"distribution": F.to_spec(), **asdict(rep)},
+            json.dumps({"distribution": F.to_spec(), **vars(rep)},
                        sort_keys=True)
             for F, rep in zip(battery, reports)) + "\n"
         _emit(args, "sweep.jsonl", text)
     else:
+        rows = [[json.dumps(F.to_spec(), sort_keys=True), *rep.csv_row()]
+                for F, rep in zip(battery, reports)]
         path = _out_path(args.out, "sweep.csv")
-        _write_csv(path, header, rows)
+        _write_csv(path, ["distribution", *SurplusReport.csv_header], rows)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -23,8 +23,6 @@ __all__ = [
     "Discrete",
     "PointMass",
     "Mixture",
-    "tail_condition",
-    "minimax_distribution",
     "distribution_from_spec",
 ]
 
@@ -92,11 +90,6 @@ class ValueDistribution:
 
     def to_spec(self):
         raise NotImplementedError
-
-    # --- helpers ---------------------------------------------------------
-    def sample(self, rng, size=None):
-        """Inverse-CDF sampling."""
-        return self.quantile(rng.uniform(size=size))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self.to_spec().items()
@@ -547,24 +540,6 @@ class Mixture(ValueDistribution):
         return {"kind": "mixture",
                 "components": [c.to_spec() for c in self.components],
                 "weights": list(self.weights)}
-
-
-def tail_condition(d: ValueDistribution, eta: float) -> bool:
-    if eta <= 1.0:
-        raise ValueError("cost elasticity must exceed 1")
-    return d.tail_condition(eta)
-
-
-def minimax_distribution(eta: float) -> Pareto:
-    """The profit-minimizing Pareto family: shape eta/(eta-1).
-
-    The returned law sits exactly at the finite-surplus boundary; functionals
-    on it require an explicit truncation k (use TruncatedPareto and take k
-    large).
-    """
-    if eta <= 1.0:
-        raise ValueError("cost elasticity must exceed 1")
-    return Pareto(eta / (eta - 1.0))
 
 
 _KINDS = {

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .distributions import Pareto, TruncatedPareto, ValueDistribution
+from .distributions import ValueDistribution
 from .functionals import (_require_positive_surplus, efficient_surplus,
                           full_report, mechanism_profit,
                           quantity_surplus_report)
@@ -46,8 +46,6 @@ __all__ = [
     "verify_procurement_quality",
     "procurement_quantity",
     "verify_procurement_quantity",
-    "pareto_bayes_outcome",
-    "rational_limit",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -365,57 +363,3 @@ def verify_procurement_quantity(eta: float, theta_grid, tol: float = 1e-9):
             tolerance=tol))
     return certs
 
-
-# ---------------------------------------------------------------------------
-# Pareto outcomes, including the finite-surplus boundary via extrapolation
-# ---------------------------------------------------------------------------
-
-def rational_limit(xs, fs):
-    """Limit at x = 0 of a (1,1) rational function fit through three points.
-
-    Solves f (1 + c x) = a + b x for (a, b, c); the limit is a.  Exact for
-    ratios that are degree-(1,1) rationals of x, which is the form the
-    truncated-Pareto surplus ratios take in x = 1/log k.
-    """
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if xs.size != 3 or fs.size != 3:
-        raise ValueError("rational_limit needs exactly three samples")
-    if np.all(fs == fs[0]):
-        # the system is singular only for f = a + b/x, whose limit is
-        # finite only when b = 0: a constant is its own limit
-        return float(fs[0])
-    A = np.column_stack([np.ones(3), xs, -xs * fs])
-    a, b, c = np.linalg.solve(A, fs)
-    return float(a)
-
-
-def pareto_bayes_outcome(alpha: float, eta: float):
-    """(Pi/S, U/S) of the Bayes-optimal menu against Pareto(alpha).
-
-    Strictly above the finite-surplus boundary this is a direct quadrature
-    computation.  At (or within 1e-9 of) the boundary, surplus diverges and
-    the ratios are obtained as the k -> inf limit of truncated-Pareto
-    outcomes, extrapolated rationally in 1/log k.
-    """
-    boundary = eta / (eta - 1.0)
-    if alpha < boundary - 1e-12:
-        raise ValueError("surplus is infinite below the boundary shape")
-    cost = IsoElasticCost(eta=eta)
-    if alpha > boundary + 1e-9:
-        F = Pareto(alpha)
-        M = bayes_optimal_mechanism(F, cost)
-        rep = full_report(F, M, cost)
-        return rep.pi_ratio, rep.u_ratio
-
-    log_ks = (8.0, 14.0, 20.0)
-    pi_ratios = []
-    u_ratios = []
-    for lk in log_ks:
-        F = TruncatedPareto(alpha=alpha, k=math.exp(lk))
-        M = bayes_optimal_mechanism(F, cost)
-        rep = full_report(F, M, cost)
-        pi_ratios.append(rep.pi_ratio)
-        u_ratios.append(rep.u_ratio)
-    xs = [1.0 / lk for lk in log_ks]
-    return rational_limit(xs, pi_ratios), rational_limit(xs, u_ratios)

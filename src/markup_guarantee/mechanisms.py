@@ -1,4 +1,4 @@
-"""Selling mechanisms: direct menus, indirect tariffs, and markup rules.
+"""Selling mechanisms: direct menus and markup rules.
 
 A direct mechanism is a pair of evaluators (Q, T) over buyer values, with Q
 nondecreasing.  The iso-elastic constant-markup menu, the guarantee menu
@@ -10,7 +10,6 @@ Either way the menu is incentive compatible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -18,21 +17,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .quadrature import adaptive_quad
-from .technology import IsoElasticCost, _monotone_root
+from .technology import IsoElasticCost
 
 __all__ = [
     "DirectMechanism",
-    "IndirectTariff",
     "MarkupMechanism",
     "UniformPriceMechanism",
     "guarantee_mechanism",
     "envelope_transfer",
-    "marginal_price",
     "constant_markup_mechanism",
     "uniform_price_mechanism",
     "ic_audit",
-    "menu_to_csv",
-    "tariff_to_csv",
 ]
 
 
@@ -66,15 +61,6 @@ class DirectMechanism:
 
 
 @dataclass(frozen=True)
-class IndirectTariff:
-    """Marginal price schedule p(q) and total payment P(q), which is
-    int_0^q p when the menu charges the envelope transfer."""
-
-    p: Callable
-    P: Callable
-
-
-@dataclass(frozen=True)
 class MarkupMechanism:
     """Allocation rule c'(q(v)) = z v wrapped as a direct mechanism."""
 
@@ -84,10 +70,6 @@ class MarkupMechanism:
     def __post_init__(self):
         if not (0.0 < self.z < 1.0):
             raise ValueError("markup multiplier z must lie in (0,1)")
-
-    @property
-    def lerner_markup(self):
-        return 1.0 - self.z
 
 
 @dataclass(frozen=True)
@@ -119,46 +101,6 @@ def envelope_transfer(Q, v, breakpoints=()):
     integral = adaptive_quad(lambda s: np.asarray(Q(s), dtype=float), 0.0, v,
                              points=breakpoints).value
     return v * float(np.asarray(Q(v))) - integral
-
-
-def marginal_price(M: DirectMechanism, v_hi=None) -> IndirectTariff:
-    """Indirect tariff p(q) = Q^{-1}(q) by monotone inversion, and the
-    payment P(q) = T(p(q)), the menu's transfer at the type that buys q.
-
-    Q must be strictly increasing and continuous on the queried range; flat
-    segments (ironed menus) raise on inversion rather than inventing prices
-    inside quantity gaps.
-    """
-    def p(q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.zeros_like(q_arr)
-        pos = ~(q_arr <= 0)
-        if pos.any():
-            qq = q_arr[pos]
-            g = lambda v: np.asarray(M.Q(v), dtype=float)
-            v = _monotone_root(g, qq, lo=0.0, hi=v_hi)
-            gap = np.abs(g(v) - qq) > 1e-6 * np.maximum(1.0, qq)
-            # detect flat segments: Q must actually move near v
-            h = np.maximum(1e-8, 1e-8 * v)
-            flat = g(v + h) - g(np.maximum(v - h, 0.0)) <= 0.0
-            bad = np.flatnonzero(gap | flat)
-            if bad.size:
-                i = bad[0]
-                if gap[i]:
-                    raise ValueError(
-                        f"no type is allocated q={qq[i]:g}; the menu jumps "
-                        "past it (quantity gap)")
-                raise ValueError(
-                    f"allocation is flat near q={qq[i]:g}; the tariff has a "
-                    "quantity gap there")
-            out[pos] = v
-        return out if np.ndim(q) else float(out[0])
-
-    def P(q):
-        # Young's identity: int_0^{Q(v)} Q^{-1} = v Q(v) - int_0^v Q = T(v)
-        return float(M.transfer(p(q)))
-
-    return IndirectTariff(p=p, P=P)
 
 
 def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
@@ -232,24 +174,3 @@ def ic_audit(M: DirectMechanism, grid: Sequence[float]) -> ICAuditReport:
         worst_pair=(float(grid[i]), float(grid[j])),
     )
 
-
-def menu_to_csv(M: DirectMechanism, grid, path):
-    """Export (v, Q(v), T(v)) rows with 17 significant digits."""
-    grid = np.asarray(grid, dtype=float)
-    Qv = np.asarray(M.Q(grid), dtype=float)
-    Tv = np.asarray(M.transfer(grid), dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v", "Q", "T"])
-        for v, q, t in zip(grid, Qv, Tv):
-            w.writerow([f"{v:.17g}", f"{q:.17g}", f"{t:.17g}"])
-
-
-def tariff_to_csv(tariff: IndirectTariff, grid, path):
-    """Export (q, p(q), P(q)) rows with 17 significant digits."""
-    grid = np.asarray(grid, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "p", "P"])
-        for q in grid:
-            w.writerow([f"{q:.17g}", f"{tariff.p(q):.17g}", f"{tariff.P(q):.17g}"])

@@ -28,9 +28,7 @@ __all__ = [
     "virtual_value",
     "iron",
     "bayes_optimal_mechanism",
-    "bayes_markup_curve",
     "discrete_oracle",
-    "discrete_virtual_values",
     "discretize",
 ]
 
@@ -96,10 +94,6 @@ class VirtualValueCurve:
         if np.count_nonzero(idx) < idx.size:
             out[idx == 0] = virtual_value(self.distribution, v_arr[idx == 0])
         return out if np.ndim(v) else float(out[0])
-
-    def is_ironed(self, v):
-        flag = self._chord(np.atleast_1d(np.asarray(v, dtype=float))) > 0
-        return flag if np.ndim(v) else bool(flag[0])
 
     def breakpoints(self):
         return tuple(sorted(x for lo, hi, _ in self.ironed_intervals
@@ -339,37 +333,9 @@ def bayes_optimal_mechanism(F: ValueDistribution,
         sorted({lo, start, *curve.breakpoints()})))
 
 
-def bayes_markup_curve(F: ValueDistribution):
-    """Lerner markup of the Bayes-optimal menu: (1-F(v)) / (f(v) v).
-
-    Defined only on the regular region; raises inside ironed intervals.
-    """
-    curve = iron(F)
-
-    def markup(v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(curve.is_ironed(v_arr)):
-            raise ValueError("markup is undefined inside ironed intervals")
-        f = np.asarray(F.pdf(v_arr), dtype=float)
-        m = np.asarray(F.sf(v_arr), dtype=float) / (f * v_arr)
-        return m if np.ndim(v) else float(m[0])
-
-    return markup
-
-
 # ---------------------------------------------------------------------------
 # discrete screening oracle
 # ---------------------------------------------------------------------------
-
-def discrete_virtual_values(values, masses):
-    """Adjacent-IC virtual values: phi_i = v_i - (1 - F_i)(v_{i+1} - v_i)/f_i."""
-    values = np.asarray(values, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    cum = np.cumsum(masses)
-    phi = values.copy()
-    phi[:-1] -= (1.0 - cum[:-1]) * np.diff(values) / masses[:-1]
-    return phi
-
 
 def _adjacent_ic_transfers(values, q):
     """t_i = v_i q_i - sum_{j<i} (v_{j+1} - v_j) q_j (IR binds at the bottom)."""

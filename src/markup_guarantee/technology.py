@@ -28,8 +28,6 @@ __all__ = [
     "PolynomialCost",
     "SeparableQuantityUtility",
     "NonlinearDemandModel",
-    "pointwise_elasticity",
-    "efficient_quality",
     "cost_from_spec",
     "quantity_model_from_spec",
 ]
@@ -203,23 +201,6 @@ class PolynomialCost(GeneralConvexCost):
     def to_spec(self):
         return {"kind": "poly_cost", "coeffs": list(self.coeffs),
                 "eta_bar": self.eta_bar}
-
-
-def pointwise_elasticity(cost, q):
-    """eta(q) = c'(q) q / c(q)."""
-    if np.any(np.asarray(q) <= 0):
-        raise ValueError("pointwise elasticity needs q > 0")
-    if isinstance(cost, IsoElasticCost):
-        return cost.eta
-    val = cost.elasticity(q)
-    return float(val) if np.ndim(val) == 0 or np.size(val) == 1 else val
-
-
-def efficient_quality(v, cost):
-    """Solve c'(q*) = v; the allocation the full-information seller provides."""
-    if np.any(np.asarray(v) < 0):
-        raise ValueError("value must be nonnegative")
-    return cost.efficient_quality(v)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import pytest
 
 import markup_guarantee as mg
 from markup_guarantee import screening
-from markup_guarantee.guarantees import rational_limit
 
 ETA_GRID = (1.5, 2.0, 3.0, 5.0)
 
@@ -103,6 +102,42 @@ def test_criterion_03_limit_values():
                     f"|ratio(1+1e-6)-1/e| = {near_one:.2e}")
 
 
+def _rational_limit(xs, fs):
+    """Limit at x = 0 of a (1,1) rational function fit through three points.
+
+    Solves f (1 + c x) = a + b x for (a, b, c); the limit is a.  Exact for
+    ratios that are degree-(1,1) rationals of x, which is the form the
+    truncated-Pareto surplus ratios take in x = 1/log k.
+    """
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    if np.all(fs == fs[0]):
+        # the system is singular only for f = a + b/x, whose limit is
+        # finite only when b = 0: a constant is its own limit
+        return float(fs[0])
+    A = np.column_stack([np.ones(3), xs, -xs * fs])
+    a, b, c = np.linalg.solve(A, fs)
+    return float(a)
+
+
+def test_rational_limit_recovers_exact_rationals():
+    f = lambda x: (0.25 + 3.0 * x) / (1.0 + 2.0 * x)
+    xs = [0.1, 0.05, 0.02]
+    assert _rational_limit(xs, [f(x) for x in xs]) == pytest.approx(0.25,
+                                                                    abs=1e-12)
+
+
+def test_rational_limit_of_constant_samples():
+    # equal samples make the fitting system singular; a constant is an
+    # exact (1,1) rational whose limit is itself
+    assert _rational_limit([1 / 8, 1 / 14, 1 / 20], [0.3, 0.3, 0.3]) == 0.3
+
+
+def _bayes_shares(F, cost):
+    rep = mg.full_report(F, mg.bayes_optimal_mechanism(F, cost), cost)
+    return rep.pi_ratio, rep.u_ratio
+
+
 def test_criterion_04_saddle_gap():
     """Bayes-optimal edge over the guarantee menu on TruncatedPareto(2, k).
 
@@ -127,7 +162,7 @@ def test_criterion_04_saddle_gap():
         xs.append(1.0 / math.log(k))
         offsets.append(Pi_b - Pi_g)
         gaps.append((Pi_b - Pi_g) / Pi_b)
-    limit = rational_limit(xs, gaps)
+    limit = _rational_limit(xs, gaps)
     monotone = gaps[0] > gaps[1] > gaps[2]
     offset_dev = max(abs(d - 0.375) for d in offsets)
     gap_dev = max(abs(g - 1.5 * x / (1.0 + 2.0 * x)) for g, x in zip(gaps, xs))
@@ -140,10 +175,22 @@ def test_criterion_04_saddle_gap():
 
 
 def test_criterion_05_frontier_tightness():
+    """Bayes outcomes on Pareto(alpha) land on the frontier.  At beta = 1/4
+    the shape is alpha = r = 2, where S is infinite; there the outcome is
+    the k -> inf limit of the TruncatedPareto(2, k) outcomes, extrapolated
+    in x = 1/ln k."""
+    cost = mg.IsoElasticCost(eta=2.0)
     worst = 0.0
     for beta in (0.25, 4.0 / 9.0, 0.64, 0.81):
         alpha = 1.0 / (1.0 - math.sqrt(beta))
-        pi, u = mg.pareto_bayes_outcome(alpha, 2.0)
+        if alpha > 2.0:
+            pi, u = _bayes_shares(mg.Pareto(alpha), cost)
+        else:
+            log_ks = (8.0, 14.0, 20.0)
+            xs = [1.0 / lk for lk in log_ks]
+            shares = [_bayes_shares(mg.TruncatedPareto(alpha, math.exp(lk)),
+                                    cost) for lk in log_ks]
+            pi, u = (_rational_limit(xs, f) for f in zip(*shares))
         worst = max(worst, abs(pi - beta),
                     abs(u - 2.0 * (math.sqrt(beta) - beta)))
     assert _verdict("criterion 5: frontier tightness", worst <= 1e-4,

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             PointMass, Power, TruncatedPareto,
-                                            Uniform, distribution_from_spec,
-                                            minimax_distribution,
-                                            tail_condition)
+                                            Uniform, distribution_from_spec)
 from markup_guarantee.functionals import full_report
 from markup_guarantee.mechanisms import guarantee_mechanism
 from markup_guarantee.screening import bayes_optimal_mechanism
@@ -99,17 +97,10 @@ def test_truncated_pareto_atom():
 
 def test_tail_condition_boundary():
     # (1 - F(v)) v^2 is identically 1 for Pareto(2) at eta = 2
-    assert not tail_condition(Pareto(2.0), 2.0)
-    assert tail_condition(Pareto(2.5), 2.0)
-    assert tail_condition(TruncatedPareto(alpha=2.0, k=10.0), 2.0)
-    assert tail_condition(Uniform(0, 1), 2.0)
-
-
-def test_minimax_distribution_shape():
-    assert minimax_distribution(2.0).alpha == 2.0
-    assert minimax_distribution(3.0).alpha == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        minimax_distribution(1.0)
+    assert not Pareto(2.0).tail_condition(2.0)
+    assert Pareto(2.5).tail_condition(2.0)
+    assert TruncatedPareto(alpha=2.0, k=10.0).tail_condition(2.0)
+    assert Uniform(0, 1).tail_condition(2.0)
 
 
 def test_mixture_merges_atoms():
@@ -233,7 +224,7 @@ def test_mass_within_one_float_spacing_of_one_rejected():
 def test_sampling_matches_cdf():
     rng = np.random.default_rng(7)
     F = Power(alpha=2.0)
-    draws = F.sample(rng, size=20_000)
+    draws = F.quantile(rng.uniform(size=20_000))
     # one-sample KS-style check at a few fixed points
     for t in (0.25, 0.5, 0.75):
         assert np.mean(draws <= t) == pytest.approx(float(F.cdf(t)), abs=0.02)

@@ -12,12 +12,10 @@ from markup_guarantee.guarantees import (FrontierPoint, GuaranteeCertificate,
                                          feasible_beta_interval, frontier,
                                          frontier_attaining_shape,
                                          guarantee_ratio, holder_audit,
-                                         membership,
-                                         pareto_bayes_outcome,
-                                         pareto_profit_ratio,
+                                         membership, pareto_profit_ratio,
                                          procurement_quality,
                                          procurement_quantity,
-                                         quantity_guarantee, rational_limit,
+                                         quantity_guarantee,
                                          surplus_lower_bound,
                                          verify_convex_cost_guarantee,
                                          verify_lower_bound,
@@ -106,11 +104,14 @@ class TestFrontier:
     def test_tightness_on_a_beta_grid(self):
         # Bayes-optimal Pareto outcomes land on the frontier
         lo, hi = feasible_beta_interval(2.0)
+        cost = IsoElasticCost(eta=2.0)
         for beta in np.linspace(lo + 0.02, 0.95, 8):
             alpha = frontier_attaining_shape(beta, 2.0)
-            pi, u = pareto_bayes_outcome(alpha, 2.0)
-            assert pi == pytest.approx(beta, abs=1e-4)
-            assert u == pytest.approx(frontier(beta, 2.0), abs=1e-4)
+            assert alpha > 2.0          # S is finite above r = 2
+            F = Pareto(alpha)
+            rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
+            assert rep.pi_ratio == pytest.approx(beta, abs=1e-4)
+            assert rep.u_ratio == pytest.approx(frontier(beta, 2.0), abs=1e-4)
 
 
 class TestEta2Boundary:
@@ -289,34 +290,17 @@ class TestQuantityAndProcurement:
 
 
 class TestParetoOutcomes:
-    def test_rational_limit_recovers_exact_rationals(self):
-        f = lambda x: (0.25 + 3.0 * x) / (1.0 + 2.0 * x)
-        xs = [0.1, 0.05, 0.02]
-        assert rational_limit(xs, [f(x) for x in xs]) == pytest.approx(0.25,
-                                                                       abs=1e-12)
-
-    def test_rational_limit_of_constant_samples(self):
-        # equal samples make the fitting system singular; a constant is an
-        # exact (1,1) rational whose limit is itself
-        assert rational_limit([1 / 8, 1 / 14, 1 / 20], [0.3, 0.3, 0.3]) == 0.3
-
     def test_interior_alpha_matches_closed_form(self):
         # at alpha = 1000 the density underflows to 0 beyond v = 3, where the
         # menu's virtual value cannot be evaluated and need not be
+        cost = IsoElasticCost(eta=2.0)
         for alpha in (5.0, 1000.0):
-            pi, u = pareto_bayes_outcome(alpha, 2.0)
+            F = Pareto(alpha)
+            rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
             pi_exact = pareto_profit_ratio(alpha, 2.0)
-            assert pi == pytest.approx(pi_exact, abs=1e-6)
-            assert u == pytest.approx(frontier(pi_exact, 2.0), abs=1e-6)
-
-    def test_boundary_alpha_extrapolates(self):
-        pi, u = pareto_bayes_outcome(2.0, 2.0)
-        assert pi == pytest.approx(0.25, abs=1e-4)
-        assert u == pytest.approx(0.5, abs=1e-4)
-
-    def test_below_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            pareto_bayes_outcome(1.5, 2.0)
+            assert rep.pi_ratio == pytest.approx(pi_exact, abs=1e-6)
+            assert rep.u_ratio == pytest.approx(frontier(pi_exact, 2.0),
+                                                abs=1e-6)
 
 
 def test_certificate_serialization():

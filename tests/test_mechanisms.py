@@ -10,8 +10,6 @@ from markup_guarantee.mechanisms import (DirectMechanism, MarkupMechanism,
                                          constant_markup_mechanism,
                                          envelope_transfer,
                                          guarantee_mechanism, ic_audit,
-                                         marginal_price, menu_to_csv,
-                                         tariff_to_csv,
                                          uniform_price_mechanism)
 from markup_guarantee.technology import IsoElasticCost, PolynomialCost
 
@@ -64,55 +62,10 @@ def test_ic_audit_grid_cap():
         ic_audit(M, np.linspace(0, 1, 600))
 
 
-def test_marginal_price_inverts_allocation():
-    M = guarantee_mechanism(2.0)
-    tariff = marginal_price(M)
-    # Q(v) = v/2, so p(q) = 2q and P(q) = q^2
-    assert tariff.p(1.0) == pytest.approx(2.0, rel=1e-6)
-    assert tariff.P(1.0) == pytest.approx(1.0, rel=1e-6)
-
-
-@pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
-def test_tariff_payment_is_the_transfer(eta):
-    # Q(v) = (v/eta)^{1/(eta-1)}, so p(q) = eta q^{eta-1} and P(q) = q^eta
-    tariff = marginal_price(guarantee_mechanism(eta))
-    assert tariff.P(0.0) == 0.0
-    for q in (0.25, 1.0, 3.0):
-        assert tariff.P(q) == pytest.approx(q ** eta, rel=1e-12, abs=0.0)
-
-
-def test_marginal_price_rejects_quantity_gap():
-    step = DirectMechanism(
-        Q=lambda v: np.where(np.asarray(v, dtype=float) < 1.0, 0.5, 2.0))
-    tariff = marginal_price(step, v_hi=10.0)
-    with pytest.raises(ValueError):
-        tariff.p(1.0)  # inside the jump from 0.5 to 2.0
-    with pytest.raises(ValueError, match="quantity gap"):
-        tariff.p(np.array([0.5, 1.0]))
-
-
-def test_marginal_price_inverts_an_array_in_one_root_call(monkeypatch):
-    import markup_guarantee.mechanisms as mech
-    calls = []
-    root = mech._monotone_root
-
-    def counting_root(*args, **kw):
-        calls.append(np.size(args[1]))
-        return root(*args, **kw)
-
-    monkeypatch.setattr(mech, "_monotone_root", counting_root)
-    tariff = marginal_price(guarantee_mechanism(2.0))
-    q = np.array([-1.0, 0.0, 0.25, 1.0, 3.0])
-    np.testing.assert_allclose(tariff.p(q), [0.0, 0.0, 0.5, 2.0, 6.0],
-                               rtol=1e-10)
-    assert calls == [3]
-
-
 def test_constant_markup_iso_elastic_fast_path():
     cost = IsoElasticCost(eta=2.0)
     mk = constant_markup_mechanism(cost)
     assert mk.z == pytest.approx(0.5)
-    assert mk.lerner_markup == pytest.approx(0.5)
     # allocation solves c'(q) = z v
     assert float(np.asarray(mk.mechanism.Q(4.0))) == pytest.approx(2.0)
 
@@ -169,22 +122,6 @@ def test_markup_multiplier_validated():
     M = guarantee_mechanism(2.0)
     with pytest.raises(ValueError):
         MarkupMechanism(z=1.5, mechanism=M)
-
-
-def test_menu_csv_export(tmp_path):
-    M = guarantee_mechanism(2.0)
-    path = tmp_path / "menu.csv"
-    menu_to_csv(M, np.linspace(0.0, 2.0, 5), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "v,Q,T"
-    assert len(lines) == 6
-
-
-def test_tariff_csv_export(tmp_path):
-    tariff = marginal_price(guarantee_mechanism(2.0))
-    path = tmp_path / "tariff.csv"
-    tariff_to_csv(tariff, [0.5, 1.0], path)
-    assert path.read_text().startswith("q,p,P")
 
 
 @given(st.floats(min_value=1.2, max_value=6.0))

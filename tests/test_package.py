@@ -1,6 +1,7 @@
-"""The package root re-exports each submodule's public API, the package
-runs on numpy alone, its count of settable values is pinned, and every
-function the benchmark's tracer wraps still exists."""
+"""The package root re-exports each submodule's public API, every public
+name has a caller outside the tests, the package runs on numpy alone, its
+count of settable values is pinned, and every function the benchmark's
+tracer wraps still exists."""
 
 import argparse
 import ast
@@ -25,6 +26,55 @@ def test_root_exports_every_submodule_all():
         missing += [f"{name}.{n}" for n in module.__all__
                     if getattr(mg, n, None) is not getattr(module, n)]
     assert missing == []
+
+
+# public names that need no caller in the package, its demos or its
+# benchmark, each with the reason it stays
+_UNCALLED = {
+    # the one non-separable demand model verify_quantity_guarantee accepts;
+    # it backs the general-demand quantity guarantee
+    "NonlinearDemandModel",
+}
+
+
+def _callers(root):
+    """Names loaded, and attributes read off the package or a submodule, in
+    the package, its demos and its benchmark (test files excluded), each
+    outside the module-level definition of that name."""
+    homes = {"mg", "markup_guarantee", *SUBMODULES,
+             *(f"markup_guarantee.{name}" for name in SUBMODULES)}
+    used = set()
+    paths = [*(root / "src" / "markup_guarantee").glob("*.py"),
+             *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    for path in paths:
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute)
+                        and ast.unparse(node.value) in homes):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    used = _callers(root)
+    uncalled = [f"{name}.{n}" for name in SUBMODULES
+                for n in importlib.import_module(
+                    f"markup_guarantee.{name}").__all__
+                if n not in used and n not in _UNCALLED]
+    assert uncalled == []
+    assert _UNCALLED.isdisjoint(used)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -70,7 +120,7 @@ def _cli_flags():
 def test_settable_value_count():
     # each settable value doubles the configurations to cover: a change
     # that adds or removes one updates this pin and the ROADMAP's count
-    assert (_library_values(), _cli_flags()) == (35, 24)
+    assert (_library_values(), _cli_flags()) == (33, 24)
 
 
 def test_tracer_targets_exist():

@@ -21,11 +21,9 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
 from markup_guarantee.functionals import full_report, mechanism_profit
 from markup_guarantee.guarantees import boundary
 from markup_guarantee.mechanisms import ic_audit
-from markup_guarantee.screening import (AtomError, bayes_markup_curve,
-                                        bayes_optimal_mechanism,
-                                        discrete_oracle,
-                                        discrete_virtual_values, discretize,
-                                        iron, virtual_value)
+from markup_guarantee.screening import (AtomError, bayes_optimal_mechanism,
+                                        discrete_oracle, discretize, iron,
+                                        virtual_value)
 from markup_guarantee.technology import IsoElasticCost
 
 
@@ -420,13 +418,6 @@ class TestBayesOptimal:
         report = ic_audit(M, np.array(F.values))
         assert report.passed
 
-    def test_markup_curve_matches_inverse_hazard(self):
-        F = Pareto(3.0)
-        markup = bayes_markup_curve(F)
-        # (1-F)/(f v) = 1/alpha for Pareto
-        assert float(np.asarray(markup(5.0))) == pytest.approx(1.0 / 3.0,
-                                                               rel=1e-9)
-
 
 def _enumerate_menus(F, cost, grid):
     """The oracle's own oracle: price every nondecreasing menu on the
@@ -540,7 +531,7 @@ class TestDiscreteOracle:
         assert shuffled == discrete_oracle(F, cost, (0.0, 1.5, 2.5))
 
     def test_discrete_virtuals_formula(self):
-        phi = discrete_virtual_values((1.0, 2.0), (0.5, 0.5))
+        phi = _discrete_virtual_values((1.0, 2.0), (0.5, 0.5))
         np.testing.assert_allclose(phi, [0.0, 2.0])
 
 
@@ -595,11 +586,21 @@ def test_discretize_splits_bins_at_density_jumps():
     np.testing.assert_array_equal(masses, 1.0 / n)
 
 
+def _discrete_virtual_values(values, masses):
+    """Adjacent-IC virtual values: phi_i = v_i - (1 - F_i)(v_{i+1} - v_i)/f_i."""
+    values = np.asarray(values, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    cum = np.cumsum(masses)
+    phi = values.copy()
+    phi[:-1] -= (1.0 - cum[:-1]) * np.diff(values) / masses[:-1]
+    return phi
+
+
 def _pooled(values, masses):
     """Pool-adjacent-violators on the adjacent-IC virtual values: the
     mass-weighted isotonic fit, an oracle for ironing atomic laws."""
     blocks = []                  # [weighted sum, mass, count]
-    for phi, m in zip(discrete_virtual_values(values, masses), masses):
+    for phi, m in zip(_discrete_virtual_values(values, masses), masses):
         blocks.append([phi * m, m, 1])
         while (len(blocks) > 1 and blocks[-2][0] * blocks[-1][1]
                >= blocks[-1][0] * blocks[-2][1]):

@@ -12,8 +12,6 @@ from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
                                          RootFindError,
                                          SeparableQuantityUtility,
                                          cost_from_spec,
-                                         efficient_quality,
-                                         pointwise_elasticity,
                                          quantity_model_from_spec)
 
 
@@ -27,7 +25,7 @@ class TestIsoElastic:
     def test_elasticity_is_constant(self):
         cost = IsoElasticCost(eta=3.0)
         for q in (0.1, 1.0, 7.0):
-            assert pointwise_elasticity(cost, q) == pytest.approx(3.0)
+            assert cost.elasticity(q) == pytest.approx(3.0)
 
     def test_rejects_eta_at_most_one(self):
         with pytest.raises(ValueError):
@@ -77,7 +75,7 @@ class TestGeneralConvex:
     def test_efficient_quality_general(self):
         cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
         v = 3.0
-        q = efficient_quality(v, cost)
+        q = cost.efficient_quality(v)
         assert float(cost.c_prime(q)) == pytest.approx(v, rel=1e-9)
 
 

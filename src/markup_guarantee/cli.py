@@ -20,9 +20,9 @@ from . import __version__
 from .distributions import (Binary, Discrete, PointMass, Power,
                             TruncatedPareto, Uniform, _spec_field,
                             distribution_from_spec)
-from .functionals import (InfiniteSurplusError, SurplusReport, full_report,
-                          mechanism_profit)
-from .guarantees import (boundary, consumer_share, feasible_beta_interval,
+from .functionals import SurplusReport, full_report, mechanism_profit
+from .guarantees import (DEFAULT_TOL, boundary, consumer_share,
+                         feasible_beta_interval,
                          frontier, frontier_attaining_shape, guarantee_ratio,
                          holder_audit, membership, procurement_quality,
                          procurement_quantity,
@@ -313,16 +313,14 @@ def cmd_verify(args):
     if scenario not in _VERIFY_SCENARIOS:
         raise ConfigError(
             f"scenario must be one of {_VERIFY_SCENARIOS}, got {scenario!r}")
-    tol = float(cfg.get("tol", args.tol))
+    tol = float(cfg.get("tol", DEFAULT_TOL))
 
-    if scenario == "lower_bound":
-        eta = float(cfg.get("eta", args.eta or 0.0))
+    if scenario in ("lower_bound", "holder"):
+        eta = float(_spec_field(cfg, "eta", f"{scenario!r} scenario"))
         battery = _battery_from_config(cfg, eta)
-        certs = verify_lower_bound(eta, battery, tol=tol)
-    elif scenario == "holder":
-        eta = float(cfg.get("eta", args.eta or 0.0))
-        battery = _battery_from_config(cfg, eta)
-        certs = [holder_audit(F, eta, tol=tol) for F in battery]
+        certs = (verify_lower_bound(eta, battery, tol=tol)
+                 if scenario == "lower_bound"
+                 else [holder_audit(F, eta, tol=tol) for F in battery])
     elif scenario == "convex_cost":
         if "cost" not in cfg:
             raise ConfigError("'convex_cost' scenario requires a 'cost' spec")
@@ -359,8 +357,7 @@ def cmd_oracle(args):
     cfg = _load_config(args.config,
                        {"values", "masses", "eta", "quality_grid", "mode",
                         "n_types", "distribution", "tol"})
-    eta = float(cfg.get("eta", args.eta or 2.0))
-    cost = IsoElasticCost(eta=eta)
+    cost = IsoElasticCost(eta=float(cfg.get("eta", 2.0)))
     mode = cfg.get("mode", "exhaustive")
     tol = float(cfg.get("tol", 0.02))
 
@@ -375,7 +372,7 @@ def cmd_oracle(args):
     if "quality_grid" in cfg:
         grid = tuple(float(q) for q in cfg["quality_grid"])
     else:
-        q_top = F.values[-1] ** (1.0 / (eta - 1.0))
+        q_top = cost.efficient_quality(F.values[-1])
         grid = tuple(np.linspace(0.0, 1.2 * q_top, 15))
     oracle = discrete_oracle(F, cost, grid, mode=mode)
 
@@ -431,7 +428,7 @@ def cmd_sweep(args):
     if not args.config:
         raise ConfigError("'sweep' requires --config")
     cfg = _load_config(args.config, {"eta", "battery", "mechanism"})
-    eta = float(cfg.get("eta", args.eta or 2.0))
+    eta = float(cfg.get("eta", 2.0))
     if eta <= 1.0:
         raise ConfigError("sweep requires eta > 1")
     battery = _battery_from_config(cfg, eta)
@@ -515,11 +512,11 @@ def build_parser():
     sp = command("boundary", cmd_boundary, "--out")
     sp.add_argument("--grid", type=int, default=50,
                     help="points per boundary branch")
-    command("verify", cmd_verify, "--eta", "--config", "--out", "--tol")
-    command("oracle", cmd_oracle, "--eta", "--config", "--out")
+    command("verify", cmd_verify, "--config", "--out")
+    command("oracle", cmd_oracle, "--config", "--out")
     sp = command("procure", cmd_procure, "--eta", "--out")
     sp.add_argument("--side", choices=("quality", "quantity"), required=True)
-    sp = command("sweep", cmd_sweep, "--eta", "--config", "--out")
+    sp = command("sweep", cmd_sweep, "--config", "--out")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
 
@@ -536,8 +533,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, InfiniteSurplusError, ArithmeticError,
-            FloatingPointError) as exc:
+    except (QuadratureError, ArithmeticError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CostValidationError, ValueError) as exc:

@@ -53,6 +53,17 @@ class InfiniteSurplusError(ValueError):
     """Tail condition fails: the efficient surplus diverges."""
 
 
+def _require_finite_surplus(F: ValueDistribution, cost):
+    """Raise InfiniteSurplusError unless F passes the tail condition at the
+    cost's elasticity bound.  A cost of elasticity at most eta_bar leaves a
+    value v a surplus that grows at least like v^(eta_bar/(eta_bar-1)), so
+    the check is necessary under every convex cost."""
+    if not F.tail_condition(cost.eta_bar):
+        raise InfiniteSurplusError(
+            f"surplus is infinite: the law fails the tail condition at "
+            f"eta_bar = {cost.eta_bar!r}; truncate the tail explicitly")
+
+
 def _require_positive_surplus(S):
     """Shares of S are undefined when S is 0 (or underflows to 0)."""
     if not S > 0.0:
@@ -134,12 +145,9 @@ def efficient_surplus(F: ValueDistribution, cost) -> tuple:
     For iso-elastic cost this is ((eta-1)/eta) E[v^{eta/(eta-1)}], evaluated
     in closed form when the distribution provides a closed moment.
     """
+    _require_finite_surplus(F, cost)
     if isinstance(cost, IsoElasticCost):
         eta = cost.eta
-        if not F.tail_condition(eta):
-            raise InfiniteSurplusError(
-                "tail condition fails at this elasticity: S_F = inf "
-                "(at the boundary shape, pass an explicit truncation k)")
         r = eta / (eta - 1.0)
         try:
             moment = F.power_moment(r)

@@ -17,9 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .distributions import ValueDistribution
-from .functionals import (_require_positive_surplus, efficient_surplus,
-                          full_report, mechanism_profit,
-                          quantity_surplus_report)
+from .functionals import full_report, quantity_surplus_report
 from .mechanisms import constant_markup_mechanism, uniform_price_mechanism
 from .screening import bayes_optimal_mechanism
 from .technology import IsoElasticCost
@@ -264,15 +262,13 @@ def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
     markup = constant_markup_mechanism(cost)
     certs = []
     for F in distributions:
-        S, _ = efficient_surplus(F, cost)
-        _require_positive_surplus(S)
-        Pi, _ = mechanism_profit(F, markup.mechanism, cost)
+        rep = full_report(F, markup.mechanism, cost)
         certs.append(GuaranteeCertificate(
             claim_id="convex_cost_guarantee",
             parameters={"eta_bar": cost.eta_bar, "z": markup.z,
                         "distribution": F.to_spec()},
             bound_value=bound,
-            measured_value=Pi / S,
+            measured_value=rep.pi_ratio,
             tolerance=tol))
     return certs
 

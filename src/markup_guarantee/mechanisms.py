@@ -45,7 +45,6 @@ class DirectMechanism:
     Q: Callable
     T: Optional[Callable] = None
     breakpoints: tuple = ()
-    label: str = ""
 
     def transfer(self, v):
         if self.T is not None:
@@ -131,8 +130,7 @@ def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
             zv = z * np.maximum(np.asarray(v, dtype=float), 0.0)
             return zv ** (p + 1.0) / (cost.eta * z)
 
-    mech = DirectMechanism(Q=Q, T=T, label=f"constant_markup(z={z:g})")
-    return MarkupMechanism(z=z, mechanism=mech)
+    return MarkupMechanism(z=z, mechanism=DirectMechanism(Q=Q, T=T))
 
 
 def uniform_price_mechanism(eta_bar: float) -> UniformPriceMechanism:

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .distributions import Discrete, ValueDistribution
+from .functionals import _require_finite_surplus
 from .mechanisms import DirectMechanism
 from .quadrature import adaptive_quad
-from .technology import IsoElasticCost
 
 __all__ = [
     "VirtualValueCurve",
@@ -307,29 +307,25 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
                              cutoff=None if cutoff == lo else cutoff)
 
 
-def bayes_optimal_mechanism(F: ValueDistribution,
-                            cost: IsoElasticCost) -> DirectMechanism:
-    """Seller-optimal menu for F under iso-elastic cost.
+def bayes_optimal_mechanism(F: ValueDistribution, cost) -> DirectMechanism:
+    """Seller-optimal menu for F under any convex cost.
 
-    First-order condition c'(Q) = phi_bar gives Q(v) = max(phi_bar(v), 0)
-    raised to 1/(eta-1); types below the exclusion cutoff get Q = 0, T = 0.
+    First-order condition c'(Q) = phi_bar gives Q(v) =
+    cost.efficient_quality(max(phi_bar(v), 0)) (Mussa and Rosen, 1978);
+    types below the exclusion cutoff get Q = 0, T = 0.
     """
-    eta = cost.eta
-    if not F.tail_condition(eta):
-        raise ValueError("surplus is infinite for this (F, eta); truncate the "
-                         "tail explicitly")
+    _require_finite_surplus(F, cost)
     curve = iron(F)
     lo = F.support[0]
     start = lo if curve.cutoff is None else curve.cutoff
-    power = 1.0 / (eta - 1.0)
 
     def Q(v):
         v_arr = np.asarray(v, dtype=float)
         pb = curve.phi_bar(np.maximum(v_arr, start))
-        out = np.maximum(pb, 0.0) ** power * (v_arr >= start)
+        out = cost.efficient_quality(np.maximum(pb, 0.0)) * (v_arr >= start)
         return out if out.ndim else float(out)
 
-    return DirectMechanism(Q=Q, label="bayes_optimal", breakpoints=tuple(
+    return DirectMechanism(Q=Q, breakpoints=tuple(
         sorted({lo, start, *curve.breakpoints()})))
 
 
@@ -353,7 +349,7 @@ class OracleResult:
     warnings: tuple = ()
 
 
-def discrete_oracle(F: Discrete, cost: IsoElasticCost, quality_grid=(),
+def discrete_oracle(F: Discrete, cost, quality_grid=(),
                     mode: str = "exhaustive") -> OracleResult:
     """Optimal screening of the types of an atomic law F.
 
@@ -372,7 +368,7 @@ def discrete_oracle(F: Discrete, cost: IsoElasticCost, quality_grid=(),
 
     if mode == "reduced":
         phi_bar = iron(F).phi_bar(values)
-        q = np.maximum(phi_bar, 0.0) ** (1.0 / (cost.eta - 1.0))
+        q = cost.efficient_quality(np.maximum(phi_bar, 0.0))
         profit = float((masses * (phi_bar * q - np.asarray(cost.c(q)))).sum())
         return OracleResult(profit=profit, allocation=tuple(q), mode="reduced")
 

@@ -78,37 +78,33 @@ class IsoElasticCost:
         return {"kind": "iso_elastic", "eta": self.eta}
 
 
-def _monotone_root(g, target, lo=0.0, hi=None, g_prime=None):
+def _monotone_root(g, target, lo=0.0, g_prime=None):
     """Solve g(q) = target elementwise for nondecreasing g.
 
-    target, lo and hi broadcast to one shape; g and g_prime map an array of
-    that shape elementwise.  Each element is bracketed (hi doubled from
-    max(1, 2 lo + 1) when hi is None), bisected 80 times and polished by up
-    to 100 Newton steps that stay inside its bracket, until a step is below
+    target and lo broadcast to one shape; g and g_prime map an array of that
+    shape elementwise.  Each element is bracketed (the upper end doubled
+    from max(1, 2 lo + 1)), bisected 80 times and polished by up to 100
+    Newton steps that stay inside its bracket, until a step is below
     1e-12 max(1, |q|), exactly as a solve of that element alone would be.
     Returns an array, or a float for scalar input.
     """
     target = np.asarray(target, dtype=float)
-    shape = np.broadcast_shapes(target.shape, np.shape(lo),
-                                () if hi is None else np.shape(hi))
+    shape = np.broadcast_shapes(target.shape, np.shape(lo))
     t = np.broadcast_to(target, shape)
     a = np.array(np.broadcast_to(np.asarray(lo, dtype=float), shape))
     with np.errstate(all="ignore"):
-        if hi is None:
-            b = np.maximum(1.0, 2.0 * a + 1.0)
-            short = np.ones(shape, dtype=bool)
-            for _ in range(200):
-                short &= ~(g(b) >= t)
-                if not short.any():
-                    break
-                a = np.where(short, b, a)
-                b = np.where(short, 2.0 * b, b)
-            else:
-                raise RootFindError(
-                    f"marginal evaluator never reaches {t[short].flat[0]!r} "
-                    "on the search interval")
+        b = np.maximum(1.0, 2.0 * a + 1.0)
+        short = np.ones(shape, dtype=bool)
+        for _ in range(200):
+            short &= ~(g(b) >= t)
+            if not short.any():
+                break
+            a = np.where(short, b, a)
+            b = np.where(short, 2.0 * b, b)
         else:
-            b = np.array(np.broadcast_to(np.asarray(hi, dtype=float), shape))
+            raise RootFindError(
+                f"marginal evaluator never reaches {t[short].flat[0]!r} "
+                "on the search interval")
         for _ in range(80):
             mid = 0.5 * (a + b)
             below = g(mid) < t

@@ -285,6 +285,33 @@ def test_unrepresentable_surplus_is_config_error(tmp_path, capsys, mechanism):
     assert "config error" in err and "overflows float64" in err
 
 
+def test_infinite_surplus_is_one_config_error(tmp_path, capsys):
+    # Pareto(1.4) fails the tail condition at eta = 3 (shape 1.5 needed):
+    # the Bayes menu and the guarantee menu's report stop on one check
+    errs = []
+    for mechanism in ("bayes_optimal", "guarantee"):
+        path = write_cfg(tmp_path, f"{mechanism}.json", {
+            "version": 1, "eta": 3.0, "mechanism": mechanism,
+            "battery": [{"kind": "pareto", "alpha": 1.4}]})
+        assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("config error: surplus is infinite")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_convex_cost_past_the_tail_condition_is_config_error(tmp_path, capsys):
+    # E[v^(4/3)] diverges on Pareto(1.3), and so does S under q^2/2 + q^4/4
+    path = write_cfg(tmp_path, "c.json", {
+        "version": 1, "scenario": "convex_cost",
+        "cost": {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5, 0.0, 0.25],
+                 "eta_bar": 4.0},
+        "battery": [{"kind": "pareto", "alpha": 1.3}]})
+    assert run(["verify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "surplus is infinite" in capsys.readouterr().err
+    assert not (tmp_path / "certificates.jsonl").exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     # mass 1e-300 at v = 1e300, where the menu's margin v Q - c(Q) is
     # inf - inf
@@ -319,8 +346,11 @@ def test_law_past_float64_is_config_error(tmp_path, capsys, spec, message):
                   "cost": {"coeffs": [0.0, 0.0, 0.5]}}, "kind"),
     (["verify"], {"scenario": "quantity",
                   "model": {"kind": "separable_quantity"}}, "eta"),
+    # verify reads eta and tol from its config alone
+    (["verify"], {"scenario": "lower_bound"}, "eta"),
+    (["verify"], {"scenario": "holder"}, "eta"),
 ], ids=["oracle-values", "oracle-masses", "poly-cost-coeffs", "cost-kind",
-        "quantity-eta"])
+        "quantity-eta", "lower-bound-eta", "holder-eta"])
 def test_missing_spec_field_is_config_error(tmp_path, capsys, argv, cfg,
                                             field):
     path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
@@ -334,10 +364,10 @@ _FLAGS = {
     "guarantee": {"--eta", "--config", "--out", "--tol", "--format"},
     "frontier": {"--eta", "--out", "--grid"},
     "boundary": {"--out", "--grid"},
-    "verify": {"--eta", "--config", "--out", "--tol"},
-    "oracle": {"--eta", "--config", "--out"},
+    "verify": {"--config", "--out"},
+    "oracle": {"--config", "--out"},
     "procure": {"--eta", "--out", "--side"},
-    "sweep": {"--eta", "--config", "--out", "--format"},
+    "sweep": {"--config", "--out", "--format"},
 }
 _SHARED = {"--eta", "--config", "--out", "--tol", "--grid", "--format"}
 _REQUIRED = {"procure": ["--side", "quality"]}

@@ -88,6 +88,13 @@ class TestEfficientSurplus:
         with pytest.raises(InfiniteSurplusError):
             efficient_surplus(Pareto(2.1), IsoElasticCost(eta=1.5))
 
+    def test_general_convex_past_the_tail_condition(self):
+        # s(v) grows like v^(4/3) under q^2/2 + q^4/4, and E[v^(4/3)]
+        # diverges on Pareto(1.3): no quadrature may return a finite S
+        cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
+        with pytest.raises(InfiniteSurplusError, match="^surplus is infinite"):
+            efficient_surplus(Pareto(1.3), cost)
+
     def test_general_convex_matches_iso_elastic(self):
         iso = IsoElasticCost(eta=2.0)
         poly = PolynomialCost(coeffs=[0.0, 0.0, 0.5], eta_bar=2.0)

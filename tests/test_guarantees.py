@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from markup_guarantee.distributions import (Binary, Pareto, PointMass, Power,
                                             TruncatedPareto, Uniform)
-from markup_guarantee.guarantees import (FrontierPoint, GuaranteeCertificate,
-                                         boundary, consumer_share,
+from markup_guarantee.guarantees import (GuaranteeCertificate, boundary,
+                                         consumer_share,
                                          convex_cost_guarantee,
                                          feasible_beta_interval, frontier,
                                          frontier_attaining_shape,

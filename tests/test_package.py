@@ -120,7 +120,7 @@ def _cli_flags():
 def test_settable_value_count():
     # each settable value doubles the configurations to cover: a change
     # that adds or removes one updates this pin and the ROADMAP's count
-    assert (_library_values(), _cli_flags()) == (33, 24)
+    assert (_library_values(), _cli_flags()) == (31, 20)
 
 
 def test_tracer_targets_exist():
@@ -159,3 +159,34 @@ def test_tracer_targets_exist():
         if obj is None:
             missing.append(target)
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names a module-level import binds in path and nothing there reads:
+    `__future__` imports, names listed in `__all__` and a package's
+    `__init__.py` re-exports are exempt."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+                for elt in node.value.elts}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items())
+            if name not in read and name not in exported]
+
+
+def test_no_unused_module_imports():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "markup_guarantee").glob("*.py"),
+             *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    assert [hit for path in sorted(paths) for hit in _unused_imports(path)] == []

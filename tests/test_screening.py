@@ -18,13 +18,15 @@ from markup_guarantee import screening
 from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
                                             PointMass, Power, TruncatedPareto,
                                             Uniform)
-from markup_guarantee.functionals import full_report, mechanism_profit
+from markup_guarantee.cli import _default_battery
+from markup_guarantee.functionals import (InfiniteSurplusError, full_report,
+                                          mechanism_profit)
 from markup_guarantee.guarantees import boundary
-from markup_guarantee.mechanisms import ic_audit
+from markup_guarantee.mechanisms import constant_markup_mechanism, ic_audit
 from markup_guarantee.screening import (AtomError, bayes_optimal_mechanism,
                                         discrete_oracle, discretize, iron,
                                         virtual_value)
-from markup_guarantee.technology import IsoElasticCost
+from markup_guarantee.technology import IsoElasticCost, PolynomialCost
 
 
 def qhull_ironed_values(F, n_grid=10_000):
@@ -389,6 +391,9 @@ class TestBayesOptimal:
     def test_infinite_surplus_rejected(self):
         with pytest.raises(ValueError):
             bayes_optimal_mechanism(Pareto(2.0), IsoElasticCost(eta=2.0))
+        # the tail check reads the elasticity bound of any convex cost
+        with pytest.raises(InfiniteSurplusError, match="^surplus is infinite"):
+            bayes_optimal_mechanism(Pareto(1.3), _QUARTIC)
 
     def test_profit_beats_guarantee_menu(self):
         from markup_guarantee.mechanisms import guarantee_mechanism
@@ -417,6 +422,54 @@ class TestBayesOptimal:
         M = bayes_optimal_mechanism(F, cost)
         report = ic_audit(M, np.array(F.values))
         assert report.passed
+
+
+_QUARTIC = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
+
+
+class TestBayesUnderConvexCost:
+    def test_quadratic_polynomial_gives_the_iso_elastic_menu(self):
+        F = Mixture(components=(Uniform(0.0, 1.0), Uniform(0.0, 0.2),
+                                TruncatedPareto(alpha=3.0, k=30.0)),
+                    weights=(0.4, 0.4, 0.2))
+        iso = IsoElasticCost(eta=2.0)
+        poly = PolynomialCost(coeffs=[0.0, 0.0, 0.5], eta_bar=2.0)
+        M_iso, M_poly = (bayes_optimal_mechanism(F, c) for c in (iso, poly))
+        v = np.linspace(0.0, 30.0, 3001)
+        assert np.max(np.abs(M_iso.Q(v) - M_poly.Q(v))) <= 1e-12
+        assert M_iso.breakpoints == M_poly.breakpoints
+        a, b = full_report(F, M_iso, iso), full_report(F, M_poly, poly)
+        for x in ("S", "Pi", "U"):
+            assert (abs(getattr(a, x) - getattr(b, x))
+                    <= getattr(a, "err_" + x) + getattr(b, "err_" + x))
+
+    @pytest.mark.parametrize("F", _default_battery(4.0),
+                             ids=lambda F: F.to_spec()["kind"])
+    def test_quartic_cost_menu(self, F):
+        # the menu is IC and IR, earns at least the constant-markup menu,
+        # and meets c'(Q) = max(phi_bar, 0) above the exclusion cutoff
+        M = bayes_optimal_mechanism(F, _QUARTIC)
+        grid = np.linspace(*F.support, 40)
+        assert ic_audit(M, grid).passed
+        bayes = full_report(F, M, _QUARTIC)
+        markup = full_report(F, constant_markup_mechanism(_QUARTIC).mechanism,
+                             _QUARTIC)
+        assert bayes.Pi >= markup.Pi - bayes.err_Pi - markup.err_Pi
+        curve = iron(F)
+        v = grid[grid >= (curve.cutoff or F.support[0])]
+        np.testing.assert_allclose(
+            _QUARTIC.c_prime(M.Q(v)), np.maximum(curve.phi_bar(v), 0.0),
+            rtol=1e-10, atol=1e-12)
+
+    def test_reduced_oracle_bounds_the_exhaustive_one(self):
+        F = Discrete(values=(0.8, 1.3, 2.1), masses=(0.3, 0.4, 0.3))
+        red = discrete_oracle(F, _QUARTIC, mode="reduced")
+        ex = discrete_oracle(F, _QUARTIC, tuple(np.linspace(0.0, 1.5, 61)),
+                             mode="exhaustive")
+        assert np.allclose(_QUARTIC.c_prime(np.array(red.allocation)),
+                           np.maximum(iron(F).phi_bar(F.values), 0.0))
+        assert ex.profit <= red.profit
+        assert (red.profit - ex.profit) / red.profit < 1e-3
 
 
 def _enumerate_menus(F, cost, grid):

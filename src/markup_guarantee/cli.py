@@ -33,7 +33,7 @@ from .guarantees import (DEFAULT_TOL, boundary, consumer_share,
 from .mechanisms import guarantee_mechanism
 from .quadrature import QuadratureError
 from .screening import bayes_optimal_mechanism, discrete_oracle, discretize
-from .technology import (CostValidationError, IsoElasticCost,
+from .technology import (CostValidationError, IsoElasticCost, RootFindError,
                          cost_from_spec, quantity_model_from_spec)
 
 EXIT_OK = 0
@@ -533,7 +533,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, ArithmeticError, FloatingPointError) as exc:
+    except (QuadratureError, RootFindError, ArithmeticError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CostValidationError, ValueError) as exc:

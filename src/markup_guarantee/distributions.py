@@ -79,6 +79,12 @@ class ValueDistribution:
     def quantile(self, u):
         raise NotImplementedError
 
+    def _near_quantile(self, u):
+        """A price near each quantile u, where `iron` samples the revenue
+        curve: the quantile itself, unless a law overrides it with a
+        cheaper approximation."""
+        return self.quantile(u)
+
     def tail_condition(self, eta):
         """True iff (1 - F(v)) v^{eta/(eta-1)} -> 0, i.e. finite surplus;
         always so on a bounded support."""
@@ -220,7 +226,8 @@ class Uniform(ValueDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        return np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0)
+        return np.minimum(np.maximum((v - self.a) / (self.b - self.a), 0.0),
+                          1.0)
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -260,7 +267,7 @@ class Power(ValueDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        return np.clip(v, 0.0, 1.0) ** self.alpha
+        return np.minimum(np.maximum(v, 0.0), 1.0) ** self.alpha
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -387,26 +394,24 @@ class Mixture(ValueDistribution):
         los, his = zip(*(c.support for c in self.components))
         return (min(los), max(his))
 
-    def cdf(self, v):
+    def _sum(self, name, v):
+        """sum of w c.name(v) over the components, from the first term"""
         v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for w, c in zip(self.weights, self.components):
-            out = out + w * c.cdf(v)
+        terms = zip(self.weights, self.components)
+        w, c = next(terms)
+        out = w * getattr(c, name)(v)
+        for w, c in terms:
+            out = out + w * getattr(c, name)(v)
         return out
+
+    def cdf(self, v):
+        return self._sum("cdf", v)
 
     def sf(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for w, c in zip(self.weights, self.components):
-            out = out + w * c.sf(v)
-        return out
+        return self._sum("sf", v)
 
     def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for w, c in zip(self.weights, self.components):
-            out = out + w * c.pdf(v)
-        return out
+        return self._sum("pdf", v)
 
     def atoms(self):
         merged = {}
@@ -457,13 +462,8 @@ class Mixture(ValueDistribution):
         """
         shape = np.shape(u)
         u = np.ravel(np.asarray(u, dtype=float))
-        table, FT = self._quantile_table(u)
-        j = np.searchsorted(FT, u, side="left")
-        out = table[np.minimum(j, table.size - 1)]
-        run = np.flatnonzero((j > 0) & (j < table.size))
-        j = j[run]
-        lo, hi, uu = table[j - 1], table[j], u[run]
-        x = lo + (uu - FT[j - 1]) * ((hi - lo) / (FT[j] - FT[j - 1]))
+        out, run, lo, hi, x = self._bracket(u)
+        uu = u[run]
         offsets, flat = _FIRST_PROBES, None
         while run.size:
             # floats >= 0 are ordered as their bit patterns, adjacent ones
@@ -511,6 +511,29 @@ class Mixture(ValueDistribution):
             x = xc - (Fc - uu) / f
         return np.atleast_1d(out.reshape(shape))
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def _bracket(self, u):
+        """The bracket stage of `quantile` on a flat array u: (out, run, lo,
+        hi, x).  out holds the table's point at or above each query, the
+        answer where the table settles it; run indexes the other queries,
+        each with lo < Q(u) <= hi and the first iterate x, linear in F
+        between them."""
+        table, FT = self._quantile_table(u)
+        j = np.searchsorted(FT, u, side="left")
+        out = table[np.minimum(j, table.size - 1)]
+        run = np.flatnonzero((j > 0) & (j < table.size))
+        j = j[run]
+        lo, hi = table[j - 1], table[j]
+        x = lo + (u[run] - FT[j - 1]) * ((hi - lo) / (FT[j] - FT[j - 1]))
+        return out, run, lo, hi, x
+
+    def _near_quantile(self, u):
+        """The quantile's first iterate: its bracket table, the component
+        quantiles at u and u/w, interpolated linearly in F."""
+        out, run, _, _, x = self._bracket(np.ravel(np.asarray(u, dtype=float)))
+        out[run] = x
+        return out
+
     def _quantile_table(self, u):
         """Sorted points that bracket Q(u), and the running maximum of F on
         them (so that a search in it never sees rounding noise)."""
@@ -525,7 +548,8 @@ class Mixture(ValueDistribution):
                 table.append(np.asarray(c.quantile(u[u < w] / w), dtype=float))
         table = np.concatenate(table)
         # + 0.0 turns -0.0 into 0.0, whose bit pattern orders correctly
-        table = np.sort(np.clip(table[~np.isnan(table)], lo_s, hi_s)) + 0.0
+        table = np.sort(np.minimum(np.maximum(table[~np.isnan(table)], lo_s),
+                                   hi_s)) + 0.0
         return table, np.maximum.accumulate(
             np.asarray(self.cdf(table), dtype=float))
 

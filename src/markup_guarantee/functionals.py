@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import ValueDistribution
 from .mechanisms import DirectMechanism
 from .quadrature import adaptive_quad
-from .technology import IsoElasticCost
+from .technology import IsoElasticCost, PolynomialCost
 
 __all__ = [
     "InfiniteSurplusError",
@@ -57,11 +57,16 @@ def _require_finite_surplus(F: ValueDistribution, cost):
     """Raise InfiniteSurplusError unless F passes the tail condition at the
     cost's elasticity bound.  A cost of elasticity at most eta_bar leaves a
     value v a surplus that grows at least like v^(eta_bar/(eta_bar-1)), so
-    the check is necessary under every convex cost."""
-    if not F.tail_condition(cost.eta_bar):
+    the check is necessary under every convex cost.  A polynomial cost of
+    degree d >= 2 leaves exactly v^(d/(d-1)), so it is checked at d."""
+    eta, name = cost.eta_bar, "eta_bar"
+    degree = cost.c.trim().degree() if isinstance(cost, PolynomialCost) else 0
+    if degree >= 2:
+        eta, name = degree, "the cost's degree"
+    if not F.tail_condition(eta):
         raise InfiniteSurplusError(
             f"surplus is infinite: the law fails the tail condition at "
-            f"eta_bar = {cost.eta_bar!r}; truncate the tail explicitly")
+            f"{name} = {eta!r}; truncate the tail explicitly")
 
 
 def _require_positive_surplus(S):

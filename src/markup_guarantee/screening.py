@@ -102,29 +102,42 @@ class VirtualValueCurve:
 
 def _lower_convex_hull(x, y):
     """Indices of the greatest convex minorant of the points (x, y), arrays
-    with x strictly increasing: a monotone-chain pass.
+    with x strictly increasing, as an int array: a monotone-chain pass.
 
     The chain drops the middle of three points unless the slope rises
     there, each slope taken from its own two points (a cross product
     anchored at the first can round to 0 when x spans many orders of
-    magnitude).  Up to the first consecutive triple that this drops, found
-    in one numpy pass, the chain keeps every point, so it starts there; a
-    curve with no such triple is its own hull.
+    magnitude).  One numpy pass finds the consecutive triples that this
+    drops.  Up to the first of them the chain keeps every point, so it
+    starts there; once its last two vertices are consecutive points past
+    the last of them, no vertex can pop and it keeps every later point, so
+    it stops there.  A curve with no such triple is its own hull.
     """
     dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
     drop = np.flatnonzero(dy[:-1] * dx[1:] >= dy[1:] * dx[:-1])
+    n = len(x)
     if not drop.size:
-        return list(range(len(x)))
-    hull, x, y = list(range(drop[0] + 2)), x.tolist(), y.tolist()
-    for i in range(len(hull), len(x)):
-        while len(hull) >= 2:
-            x1, y1, x2, y2 = x[hull[-2]], y[hull[-2]], x[hull[-1]], y[hull[-1]]
-            if (y2 - y1) * (x[i] - x2) >= (y[i] - y2) * (x2 - x1):
-                hull.pop()
+        return np.arange(n)
+    # the hull is range(lo) followed by chain
+    lo, settled, x, y = int(drop[0]), int(drop[-1]) + 1, x.tolist(), y.tolist()
+    chain, rest = [lo, lo + 1], n
+    for i in range(lo + 2, n):
+        while True:
+            if len(chain) < 2:
+                if not lo:
+                    break
+                lo -= 1
+                chain.insert(0, lo)
+            j, k = chain[-2], chain[-1]
+            if (y[k] - y[j]) * (x[i] - x[k]) >= (y[i] - y[k]) * (x[k] - x[j]):
+                chain.pop()
             else:
                 break
-        hull.append(i)
-    return hull
+        chain.append(i)
+        if i > settled and chain[-2] == i - 1:
+            rest = i + 1
+            break
+    return np.concatenate((np.arange(lo), chain, np.arange(rest, n)))
 
 
 def _root(g, a, b, ga, gb):
@@ -155,36 +168,40 @@ def _cells(knots, lo, hi):
             for u, w in zip(cuts, cuts[1:])]
 
 
-def _touch(sf_pdf, cells, lam):
-    """(p, q(p)) where a line of slope lam touches the revenue curve from
-    above on the cells: the best local maximum of H = (p - lam) P(V > p).
-    As H' = f (lam - phi), in a cell that is where phi crosses lam upwards,
-    or an end.  sf_pdf(x) gives (P(V > x), f(x))."""
-    def h(x):
-        s, f = sf_pdf(x)
-        return s - (x - lam) * f
-
-    touches = []
+def _peak(g, cells, score):
+    """The best local maximum, by score(x), on the cells of a function
+    whose slope has the sign of g(x): in a cell, where g crosses 0
+    downwards, or an end."""
+    peaks = []
     for u, w in cells:
-        hu, hw = h(u), h(w)
-        x = (u if hu <= 0.0 or u >= w
-             else w if hw >= 0.0 else _root(h, u, w, hu, hw))
-        touches.append((x, sf_pdf(x)[0]))
-    return max(touches, key=lambda t: (t[0] - lam) * t[1])
+        gu, gw = g(u), g(w)
+        peaks.append(u if gu <= 0.0 or u >= w
+                     else w if gw >= 0.0 else _root(g, u, w, gu, gw))
+    return max(peaks, key=score)
 
 
 def iron(F: ValueDistribution) -> VirtualValueCurve:
     """Iron the virtual value of F on its revenue curve, for any law.
 
-    The curve is sampled at a fixed 2000 quantiles (16 more between each
-    pair of knots), every knot (support and density-segment ends, atoms)
-    and q = 0.  A hull chord is ironed when it skips a point, spans a gap,
-    or starts at an atom or at a knot where the density drops, which no
-    hull vertex of the continuum can sit on.  Ends at other knots stay put;
-    a smooth end solves phi = slope near its vertex, and resetting the slope
-    to the new chord's is Newton's method on max H_a - max H_b (derivative
-    q_b - q_a).  sf and pdf are read in one array call each at every cell
-    end a touch searches, and at any other point once.
+    The curve is sampled near a fixed 2000 quantiles (16 more between each
+    pair of knots), at every knot (support and density-segment ends, atoms)
+    and at q = 0.  A mixture's sample is the first iterate of its quantile,
+    not the exact inverse: the sample only locates the chords, and each of
+    its points is an exact point of the curve.  A hull chord is ironed when
+    it skips a point, spans a gap, or starts at an atom or at a knot where
+    the density drops, which no hull vertex of the continuum can sit on.
+    Ends at other knots stay put, and a smooth end is solved for on the
+    cells next to its vertex:
+    - with the other end fixed, it is where the slope of the chord from
+      that end peaks (phi = slope there), one root;
+    - with both ends smooth, each solves phi = slope, and resetting the
+      slope to the new chord's is Newton's method on max H_a - max H_b
+      (derivative q_b - q_a).
+    A search whose peak lands on the outer edge of its cells at a sample
+    point takes the next cell too, as the end lies beyond, short of the
+    cells of the ends next to it.  sf and pdf are read in one array call
+    each at every cell end a search first looks at, and at any other point
+    once.
     """
     (lo, hi), atoms, segments = F.support, dict(F.atoms()), F.density_segments()
     knots = np.unique([x for x in (lo, hi, *atoms, *np.ravel(segments))
@@ -199,7 +216,7 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
         start = np.asarray(F.cdf(knots), dtype=float)
         width = np.append(start[1:] - k_mass[1:], 1.0) - start
         inner = start[:, None] + width[:, None] * ((np.arange(16) + 0.5) / 16)
-        grid = np.asarray(F.quantile(np.append(np.linspace(
+        grid = np.asarray(F._near_quantile(np.append(np.linspace(
             eps, 1.0 - eps, _N_GRID), inner[width > 1e-12])), dtype=float)
         # keep prices inside a density segment and not rounded onto a knot
         j = np.searchsorted(knots, grid)
@@ -207,20 +224,22 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
                           np.abs(knots[np.minimum(j, knots.size - 1)] - grid))
         grid = grid[(near > 1e-13 * np.abs(grid)) & np.any(
             [(grid > a) & (grid < b) for a, b in segments], axis=0)]
-    # the last point, q = 0, closes the curve at the top of the support
+    # the last point, q = 0, closes the curve at the top of the support; it
+    # counts as a knot
     price = np.append(np.sort(np.concatenate([knots, grid])), hi)
     j = np.minimum(np.searchsorted(knots, price), knots.size - 1)
     is_knot, last = knots[j] == price, price.size - 1
     mass = np.where(is_knot, k_mass[j], 0.0)
     down = is_knot & k_down[j]
-    loose = ~is_knot | down         # ends solved for
-    mass[last], down[last], loose[last] = 0.0, False, False
+    mass[last], down[last], is_knot[last] = 0.0, False, True
     q = np.asarray(F.sf(price), dtype=float) + mass
     R = np.append(price[:last] * q[:last], 0.0)
     # of the points selling to one share (a support gap) keep the dearest
     keep = q > np.append(np.maximum.accumulate(q[::-1])[-2::-1], -1.0)
-    price, q, R, mass, down, loose, starts = (
-        x[keep] for x in (price, q, R, mass, down, loose, (mass > 0.0) | down))
+    price, q, R, mass, down, is_knot, starts = (
+        x[keep] for x in (price, q, R, mass, down, is_knot,
+                          (mass > 0.0) | down))
+    loose = ~is_knot | down         # ends solved for
     last = price.size - 1
     top = last if math.isfinite(hi) else last - 1
 
@@ -228,13 +247,15 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
     starts[:-1] |= (np.searchsorted(knots, price[1:], side="left")
                     > np.searchsorted(knots, price[:-1], side="right"))
     hull = _lower_convex_hull(-q, -R)
-    price, q, R, mass, down, loose, starts = (  # floats for the point loops
-        x.tolist() for x in (price, q, R, mass, down, loose, starts))
+    # chords are the hull steps that skip a point or start at an atom, a
+    # gap or a drop knot; a step from a drop knot extends the chord that
+    # ends there
+    steps = np.flatnonzero((hull[1:] - hull[:-1] > 1) | starts[hull[:-1]])
     chords = []
-    for i, j in zip(hull, hull[1:]):
+    for i, j in zip(hull[steps].tolist(), hull[steps + 1].tolist()):
         if chords and chords[-1][1] == i and down[i]:
             chords[-1][1] = j
-        elif j > i + 1 or starts[i]:
+        else:
             chords.append([i, j])
 
     def share(a, qa, fa, b, qb, fb):
@@ -247,24 +268,29 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
         fb = float(F.cdf(b)) if fb is None else fb
         return fb - fa
 
-    # a smooth end looks for its touch point between its grid neighbours;
-    # a drop knot looks outward only, and the two ends of a chord never
-    # search the same cell.  R peaks at its grid maximum, at a knot, or
-    # where phi crosses 0 next to it: a touch of slope 0 strictly inside
-    # one of the two brackets around its grid maximum
-    windows = [(loose[i1] and _cells(knots, price[i1 - 1], price[
-                    i1 if down[i1] or i1 + 1 >= i2 else i1 + 1]),
-                loose[i2] and _cells(knots, price[i2 if down[i2] else max(
-                    i2 - 1, i1)], price[min(i2 + 1, top)]))
-               for i1, i2 in chords]
-    k = R.index(max(R))
+    def span(u, w):
+        """Cells between the points u < w, with their ends."""
+        return [u, w, _cells(knots, price[u], price[w])]
+
+    # a smooth end first searches the cells between its grid neighbours; a
+    # drop knot looks outward only, and the two ends of a chord never search
+    # the same cell.  An end at a knot holds no cells.
+    # R peaks at its grid maximum, at a knot, or where phi crosses 0 next
+    # to it: a touch of slope 0 strictly inside one of the two brackets
+    # around its grid maximum
+    spans = []
+    for i1, i2 in chords:
+        spans.append(span(i1 - 1, i1 if down[i1] or i1 + 1 >= i2 else i1 + 1)
+                     if loose[i1] else [i1, i1, None])
+        spans.append(span(i2 if down[i2] else max(i2 - 1, i1),
+                          min(i2 + 1, top)) if loose[i2] else [i2, i2, None])
+    k = int(np.argmax(R))
     brackets = [(u, w, _cells(knots, price[u], price[w]))
                 for u, w in ((max(k - 1, 0), k), (k, min(k + 1, top)))
                 if segments and price[u] < price[w]]
     # sf and pdf at every cell end in one call each, at other points once
-    nudged = np.array([x for cells in [c for w in windows for c in w if c]
-                       + [c for *_, c in brackets] for cell in cells
-                       for x in cell])
+    nudged = np.array([x for *_, cells in spans + brackets if cells
+                       for cell in cells for x in cell])
     memo = dict(zip(nudged.tolist(), np.column_stack(
         (F.sf(nudged), F.pdf(nudged))).tolist())) if nudged.size else {}
 
@@ -273,33 +299,82 @@ def iron(F: ValueDistribution) -> VirtualValueCurve:
             memo[x] = float(F.sf(x)), float(F.pdf(x))
         return memo[x]
 
+    def peak(e, g, score):
+        """_peak on the cells of end e and (x, P(V > x)) there, the cells
+        widened one at a time while the peak lands on an outer edge at a
+        sample point, short of the cells of the ends before and after it
+        and of the cell next to an end at a knot."""
+        u, w, cells = spans[e]
+        floor = (spans[e - 1][1] + (spans[e - 1][2] is None)) if e else 0
+        ceil = (spans[e + 1][0] - (spans[e + 1][2] is None)
+                if e + 1 < len(spans) else top)
+        while True:
+            x = _peak(g, cells, score)
+            if x == cells[0][0] and u > floor and not is_knot[u]:
+                u -= 1
+                cells[:0] = _cells(knots, price[u], price[u + 1])
+            elif x == cells[-1][1] and w < ceil and not is_knot[w]:
+                w += 1
+                cells += _cells(knots, price[w - 1], price[w])
+            else:
+                spans[e][:2] = u, w
+                return x, sf_pdf(x)[0]
+
+    def tangent(slope):
+        """x -> P(V > x) - (x - slope(x)) f(x) = f(x) (slope(x) - phi(x))."""
+        def g(x):
+            s, f = sf_pdf(x)
+            return s - (x - slope(x)) * f
+        return g
+
     # F(p-) = P(V < p) at the chord ends on the grid, in one call
-    ends = [i for chord in chords for i in chord]
-    below = (np.asarray(F.cdf(np.array([price[i] for i in ends])), dtype=float)
-             - [mass[i] for i in ends]).tolist() if chords else []
+    ends = np.ravel(chords).astype(int)
+    below = (np.asarray(F.cdf(price[ends]), dtype=float)
+             - mass[ends]).tolist() if chords else []
     intervals = []
-    for (i1, i2), (left, right), fa, fb in zip(chords, windows, below[::2],
-                                               below[1::2]):
-        a, qa, Ra, b, qb, Rb = price[i1], q[i1], R[i1], price[i2], q[i2], R[i2]
-        dq = share(a, qa, fa, b, qb, fb)
-        lam = (Ra - Rb) / dq
-        for _ in range(50 if left or right else 0):
+    for c, ((i1, i2), fa, fb) in enumerate(zip(chords, below[::2],
+                                               below[1::2])):
+        left, right = spans[2 * c][2], spans[2 * c + 1][2]
+        a, qa, Ra = float(price[i1]), float(q[i1]), float(R[i1])
+        b, qb, Rb = float(price[i2]), float(q[i2]), float(R[i2])
+        if left and right:
+            # H = (x - lam) P(V > x) peaks at both ends
+            def H(x):
+                return (x - lam) * sf_pdf(x)[0]
+
+            g = tangent(lambda x: lam)
+            lam = (Ra - Rb) / share(a, qa, fa, b, qb, fb)
+            for _ in range(50):
+                (a, qa), (b, qb) = peak(2 * c, g, H), peak(2 * c + 1, g, H)
+                Ra, Rb, fa, fb = a * qa, b * qb, None, None
+                dq = share(a, qa, fa, b, qb, fb)
+                step, lam = lam, (Ra - Rb) / dq
+                # stop once the step is down to the slope's rounding error
+                if abs(step - lam) * dq <= 1e-15 * (Ra + Rb + abs(lam)):
+                    break
+        else:
+            # the slope of the chord from the fixed end peaks at the other:
+            # highest over a left end, lowest over a right one
             if left:
-                (a, qa), fa = _touch(sf_pdf, left, lam), None
+                def slope(x):
+                    qx = sf_pdf(x)[0]
+                    return (x * qx - Rb) / share(x, qx, None, b, qb, fb)
+                (a, qa), fa = peak(2 * c, tangent(slope), slope), None
                 Ra = a * qa
-            if right:
-                (b, qb), fb = _touch(sf_pdf, right, lam), None
+            elif right:
+                def slope(x):
+                    qx = sf_pdf(x)[0]
+                    return (Ra - x * qx) / share(a, qa, fa, x, qx, None)
+                (b, qb), fb = peak(2 * c + 1, tangent(slope),
+                                   lambda x: -slope(x)), None
                 Rb = b * qb
-            dq = share(a, qa, fa, b, qb, fb)
-            step, lam = lam, (Ra - Rb) / dq
-            # stop once the step is down to the slope's rounding error
-            if abs(step - lam) * dq <= 1e-15 * (Ra + Rb + abs(lam)):
-                break
+            lam = (Ra - Rb) / share(a, qa, fa, b, qb, fb)
         intervals.append((a, math.inf if i2 == last else b, lam))
 
-    cutoff, best = price[k], R[k]
+    cutoff, best = float(price[k]), float(R[k])
     for u, w, cells in brackets:
-        x, qx = _touch(sf_pdf, cells, 0.0)
+        x = _peak(tangent(lambda x: 0.0), cells, lambda x: x * sf_pdf(x)[0])
+        qx = sf_pdf(x)[0]
         if (math.nextafter(price[u], math.inf) < x
                 < math.nextafter(price[w], -math.inf) and x * qx > best):
             cutoff, best = x, x * qx

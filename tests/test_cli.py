@@ -312,6 +312,27 @@ def test_convex_cost_past_the_tail_condition_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "certificates.jsonl").exists()
 
 
+@pytest.mark.parametrize("alpha, code, message", [
+    # S = E[v^2] / 2 diverges on Pareto(1.5), though 1.5 > 4/3 passes the
+    # tail condition at eta_bar = 4
+    (1.5, 2, "config error: surplus is infinite"),
+    # S is finite on Pareto(2.1), but the folded tail asks for c'(q) = v
+    # past the root finder's bracket
+    (2.1, 3, "numerical failure: marginal evaluator never reaches"),
+])
+def test_quadratic_cost_on_a_heavy_tail_is_one_line(tmp_path, capsys, alpha,
+                                                    code, message):
+    path = write_cfg(tmp_path, "c.json", {
+        "version": 1, "scenario": "convex_cost",
+        "cost": {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5],
+                 "eta_bar": 4.0},
+        "battery": [{"kind": "pareto", "alpha": alpha}]})
+    assert run(["verify", "--config", path, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "certificates.jsonl").exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     # mass 1e-300 at v = 1e300, where the menu's margin v Q - c(Q) is
     # inf - inf

@@ -101,6 +101,29 @@ def _acceptance_mixtures(n, seed=20260823):
     return out
 
 
+# Seeded mixtures of the benchmark's Bayes sweep whose smooth chord end
+# lies in a cell next to its hull vertex where phi crosses the slope twice
+# (the first, third and fourth, at the bottom of the support) or beyond
+# those cells (the second)
+_FAR_END_LAWS = {
+    "power-power": Mixture(
+        (Power(0.9188992244257372), Power(1.607393237590527)),
+        (0.06212311632796173, 0.9378768836720381)),
+    "uniform-end-inside": Mixture(
+        (Uniform(0.0, 0.9869968083173973), Power(3.051995263790547),
+         Power(1.564367414080205)),
+        (0.028503131534496306, 0.35690828809377384, 0.6145885803717299)),
+    "power-power-uniform": Mixture(
+        (Power(0.9984547343513467), Power(1.6786124061531351),
+         Uniform(0.0, 2.0437610424733603)),
+        (0.3249166267832645, 0.042064460911294003, 0.6330189123054415)),
+    "three-powers": Mixture(
+        (Power(0.9663502860385832), Power(1.674695933732613),
+         Power(2.5994451470936304)),
+        (0.17734902499124197, 0.6539688623907887, 0.16868211261796937)),
+}
+
+
 class TestIroning:
     def test_regular_distribution_untouched(self):
         curve = iron(Uniform(0.0, 1.0))
@@ -254,10 +277,47 @@ class TestIroning:
         assert rep.pi_ratio == pytest.approx(limit.beta, rel=0.0, abs=1e-9)
         assert rep.u_ratio == pytest.approx(limit.u_over_s, rel=0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n_grid", [1000, 2000, 8000])
+    @pytest.mark.parametrize("name, exact", [
+        # from a 40-digit solve of phi(b) = -b P(V > b) / F(b), the slope
+        # of the chord from (q, R) = (1, 0)
+        ("power-power", [(0.0, 0.0010387545011945881, -8.1355938463970043)]),
+        # from a 40-digit solve of phi(a) = phi(b) = the chord's slope
+        ("uniform-end-inside", [(0.98695102896733158, 0.98704290886057472,
+                                 0.97397085181755648)]),
+    ])
+    def test_far_chord_end_is_solved(self, monkeypatch, n_grid, name,
+                                     exact):
+        monkeypatch.setattr(screening, "_N_GRID", n_grid)
+        np.testing.assert_allclose(
+            iron(_FAR_END_LAWS[name]).ironed_intervals, exact,
+            rtol=1e-9, atol=0.0)
+
+    def test_ironed_intervals_do_not_depend_on_the_grid(self, monkeypatch):
+        # the grid only locates the chords: their ends, constants and the
+        # cutoff agree across grids (Bayes shares would miss an interval
+        # below the cutoff)
+        laws = _acceptance_mixtures(60) + list(_FAR_END_LAWS.values())
+        curves = []
+        for n_grid in (1000, 2000, 8000):
+            monkeypatch.setattr(screening, "_N_GRID", n_grid)
+            curves.append([iron(F) for F in laws])
+        for coarse, mid, fine in zip(*curves):
+            for other in (coarse, fine):
+                assert len(other.ironed_intervals) == len(mid.ironed_intervals)
+                np.testing.assert_allclose(
+                    other.ironed_intervals, mid.ironed_intervals,
+                    rtol=1e-11, atol=0.0)
+                assert (other.cutoff is None) == (mid.cutoff is None)
+                if mid.cutoff is not None:
+                    assert other.cutoff == pytest.approx(mid.cutoff,
+                                                         rel=1e-11)
+
     def test_iron_calls_per_law(self, monkeypatch):
-        # the touches read sf and pdf at every cell end from one array call
+        # the searches read sf and pdf at every cell end from one array call
         # each, so a law takes the grid's calls plus its roots' steps; the
-        # quantile's own calls are pinned in test_distributions.py
+        # sample points come from the quantile's first iterate, which reads
+        # neither
         calls, per_eta = [], []
         for name in ("sf", "pdf"):
             method = getattr(Mixture, name)
@@ -267,15 +327,6 @@ class TestIroning:
                 return method(self, v)
 
             monkeypatch.setattr(Mixture, name, counted)
-        quantile = Mixture.quantile
-
-        def quantile_uncounted(self, u):
-            n = len(calls)
-            out = quantile(self, u)
-            del calls[n:]
-            return out
-
-        monkeypatch.setattr(Mixture, "quantile", quantile_uncounted)
         for eta in (2.0, 3.0):
             per_law = []
             for F in _acceptance_mixtures(20):
@@ -333,11 +384,14 @@ def _monotone_chain(x, y):
 @pytest.mark.parametrize("seed", range(5))
 def test_hull_starts_its_chain_at_the_first_dropped_turn(seed):
     # one numpy pass skips the chain up to the first consecutive triple it
-    # drops, and skips it on a curve with none; the hull is the whole
-    # chain's
+    # drops and past the last, and skips it on a curve with none; the hull
+    # is the whole chain's
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 200))
-    hull = screening._lower_convex_hull
+
+    def hull(x, y):
+        return screening._lower_convex_hull(x, y).tolist()
+
     x = np.cumsum(rng.uniform(0.1, 1.0, n))
     slopes = np.cumsum(rng.uniform(0.1, 1.0, n - 1))
     y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])

@@ -1,19 +1,20 @@
 """Cost-side and demand-side primitives.
 
-Quality discrimination uses convex costs (iso-elastic or general convex with
-a declared elasticity bound); quantity discrimination uses concave buyer
-utilities with linear production cost normalized to 1.  Each demand model
-states its surplus above a price, int_p^inf D(v, s) ds, and the error of
-that value, for an array of values: the separable model in closed form with
-error 0, the nonlinear model in one quadrature whose stack has a row per
-value.
+Quality discrimination uses convex costs: iso-elastic, inverted in closed
+form, or polynomial with a declared elasticity bound, checked exactly at
+construction and inverted by Newton from a closed-form upper start.
+Quantity discrimination uses concave buyer utilities with linear production
+cost normalized to 1.  Each demand model states its surplus above a price,
+int_p^inf D(v, s) ds, and the error of that value, for an array of values:
+the separable model in closed form with error 0, the nonlinear model in one
+quadrature whose stack has a row per value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,6 @@ __all__ = [
     "CostValidationError",
     "RootFindError",
     "IsoElasticCost",
-    "GeneralConvexCost",
     "PolynomialCost",
     "SeparableQuantityUtility",
     "NonlinearDemandModel",
@@ -59,10 +59,6 @@ class IsoElasticCost:
         q = np.asarray(q, dtype=float)
         return q ** (self.eta - 1.0)
 
-    def c_double_prime(self, q):
-        q = np.asarray(q, dtype=float)
-        return (self.eta - 1.0) * q ** (self.eta - 2.0)
-
     @property
     def eta_bar(self):
         return self.eta
@@ -78,121 +74,95 @@ class IsoElasticCost:
         return {"kind": "iso_elastic", "eta": self.eta}
 
 
-def _monotone_root(g, target, lo=0.0, g_prime=None):
-    """Solve g(q) = target elementwise for nondecreasing g.
+# Newton passes one root solve may take before it raises RootFindError
+_NEWTON_PASSES = 100
 
-    target and lo broadcast to one shape; g and g_prime map an array of that
-    shape elementwise.  Each element is bracketed (the upper end doubled
-    from max(1, 2 lo + 1)), bisected 80 times and polished by up to 100
-    Newton steps that stay inside its bracket, until a step is below
-    1e-12 max(1, |q|), exactly as a solve of that element alone would be.
-    Returns an array, or a float for scalar input.
+
+def _monotone_root(marginal, target):
+    """q >= 0 with marginal(q) = target elementwise, for a polynomial
+    marginal with coefficients b_k >= 0 and every target above b_0.
+
+    Newton starts at q0 = min_k ((t - b_0)/b_k)^(1/k) over the terms with
+    b_k > 0: that term alone reaches t - b_0 there, so marginal(q0) >= t.
+    The marginal is convex and increasing on [0, inf), so Newton from above
+    falls monotonically to the root (Fourier's condition) and needs no
+    bracket.  An element stops at the first step that does not lower it,
+    exactly as a solve of that element alone would.  Each term's bound is
+    taken as (t - b_0)^(1/k) / b_k^(1/k), which overflows only where the
+    bound itself passes the float64 maximum.  Raises RootFindError when a
+    step is not finite or after _NEWTON_PASSES passes.
     """
-    target = np.asarray(target, dtype=float)
-    shape = np.broadcast_shapes(target.shape, np.shape(lo))
-    t = np.broadcast_to(target, shape)
-    a = np.array(np.broadcast_to(np.asarray(lo, dtype=float), shape))
+    t = np.asarray(target, dtype=float)
+    b = marginal.coef
+    slope = marginal.deriv()
+    k = np.flatnonzero(b[1:] > 0.0) + 1
     with np.errstate(all="ignore"):
-        b = np.maximum(1.0, 2.0 * a + 1.0)
-        short = np.ones(shape, dtype=bool)
-        for _ in range(200):
-            short &= ~(g(b) >= t)
-            if not short.any():
-                break
-            a = np.where(short, b, a)
-            b = np.where(short, 2.0 * b, b)
-        else:
-            raise RootFindError(
-                f"marginal evaluator never reaches {t[short].flat[0]!r} "
-                "on the search interval")
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            below = g(mid) < t
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        q = 0.5 * (a + b)
-        if g_prime is not None:
-            live = np.ones(shape, dtype=bool)
-            for _ in range(100):
-                d = g_prime(q)
-                live &= ~(d <= 0)
-                step = (g(q) - t) / d
-                q_new = q - step
-                live &= (a <= q_new) & (q_new <= b)
-                q = np.where(live, q_new, q)
-                live &= ~(np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(q)))
-                if not live.any():
-                    break
-    return q if q.ndim else float(q)
+        # 1/k is rounded, which moves x^(1/k) by up to |ln x| eps/(2k)
+        # relative, a few hundred eps; the factor keeps q0 above the root
+        q = (1.0 + 1e-12) * np.min(
+            (t - b[0])[..., None] ** (1.0 / k) / b[k] ** (1.0 / k), axis=-1)
+        live = np.ones(t.shape, dtype=bool)
+        for _ in range(_NEWTON_PASSES):
+            step = (marginal(q) - t) / slope(q)
+            bad = live & ~np.isfinite(step)
+            if bad.any():
+                raise RootFindError(
+                    f"Newton step toward c'(q) = {float(t[bad][0])!r} is not "
+                    f"finite: the target is not finite, or the marginal "
+                    f"passes the float64 limit {float(np.finfo(float).max)!r} "
+                    "on the way")
+            q_new = q - step
+            live &= q_new < q
+            q = np.where(live, q_new, q)
+            if not live.any():
+                return q
+    raise RootFindError(f"Newton does not settle on c'(q) = "
+                        f"{float(t[live][0])!r} in {_NEWTON_PASSES} passes")
 
 
-def _positive_root(c_prime, v, c_double_prime=None):
-    """q with c'(q) = v where v > 0 and q = 0 elsewhere: one root call for
-    the whole array.  Returns an array, or a float for scalar v."""
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    out = np.zeros_like(v_arr)
-    pos = ~(v_arr <= 0)
-    if pos.any():
-        out[pos] = _monotone_root(c_prime, v_arr[pos], g_prime=c_double_prime)
-    return out if np.ndim(v) else float(out[0])
+class PolynomialCost:
+    """Convex polynomial cost c(q) = sum_k coeffs[k] q^k, checked exactly.
 
-
-@dataclass(frozen=True)
-class GeneralConvexCost:
-    """Convex cost with convex marginal (c''' >= 0) and bounded elasticity.
-
-    Validation is best-effort: c''' >= 0 and eta(q) <= eta_bar are checked by
-    finite differences on 256 geometric probe points in [1e-4, 1e4], which
-    cannot certify the conditions globally.
+    The checks are c(0) = 0 (coeffs[0] == 0), every coefficient finite and
+    >= 0, degree d >= 2, and eta_bar finite and >= d.  With nonnegative
+    coefficients, c', c'' and c''' are >= 0 on [0, inf), and the elasticity
+    q c'(q)/c(q) = sum_k k a_k q^k / sum_k a_k q^k is a weighted mean of the
+    powers that rises to d, so eta_bar bounds it everywhere.
     """
-
-    c: Callable
-    c_prime: Callable
-    c_double_prime: Optional[Callable] = None
-    eta_bar: float = 2.0
-
-    def __post_init__(self):
-        if self.eta_bar <= 1.0:
-            raise CostValidationError("declared elasticity bound must exceed 1")
-        grid = np.geomspace(1e-4, 1e4, 256)
-        c0 = np.asarray(self.c(grid), dtype=float)
-        if abs(float(self.c(0.0))) > 1e-12:
-            raise CostValidationError("cost must satisfy c(0) = 0")
-        cp = np.asarray(self.c_prime(grid), dtype=float)
-        if np.any(np.diff(cp) < -1e-10 * np.maximum(1.0, np.abs(cp[:-1]))):
-            raise CostValidationError("marginal cost must be nondecreasing")
-        # c''' >= 0 via second differences of c' on the probe grid
-        h = grid * 1e-4
-        cpp = (np.asarray(self.c_prime(grid + h)) - np.asarray(self.c_prime(grid - h))) / (2 * h)
-        if np.any(np.diff(cpp) < -1e-6 * np.maximum(1.0, np.abs(cpp[:-1]))):
-            raise CostValidationError("marginal cost must be convex (c''' >= 0)")
-        eta = cp * grid / c0
-        if np.any(eta > self.eta_bar + 1e-8):
-            raise CostValidationError(
-                f"measured elasticity {eta.max():.6g} exceeds declared bound "
-                f"{self.eta_bar:.6g}")
-
-    def elasticity(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.asarray(self.c_prime(q)) * q / np.asarray(self.c(q))
-
-    def efficient_quality(self, v):
-        return _positive_root(self.c_prime, v, self.c_double_prime)
-
-
-class PolynomialCost(GeneralConvexCost):
-    """Convex polynomial cost c(q) = sum coeffs[i] q^i (no constant term)."""
 
     def __init__(self, coeffs, eta_bar):
         coeffs = tuple(float(x) for x in coeffs)
-        if coeffs and coeffs[0] != 0.0:
+        if not all(0.0 <= x < math.inf for x in coeffs):
+            raise CostValidationError(
+                f"polynomial cost needs finite coefficients >= 0, got {coeffs}")
+        degree = max((k for k, x in enumerate(coeffs) if x > 0.0), default=0)
+        if degree < 2:
+            raise CostValidationError(
+                f"polynomial cost needs degree >= 2, got degree {degree}")
+        if coeffs[0] != 0.0:
             raise CostValidationError("polynomial cost must have c(0) = 0")
-        poly = np.polynomial.Polynomial(coeffs)
-        d1 = poly.deriv(1)
-        d2 = poly.deriv(2)
-        super().__init__(c=poly, c_prime=d1, c_double_prime=d2,
-                         eta_bar=eta_bar)
+        if not degree <= eta_bar < math.inf:
+            raise CostValidationError(
+                f"declared elasticity bound {eta_bar!r} must be finite and at "
+                f"least the degree {degree}, the elasticity's supremum")
         self.coeffs = coeffs
+        self.eta_bar = eta_bar
+        self.c = np.polynomial.Polynomial(coeffs)
+        self.c_prime = self.c.deriv()
+
+    def elasticity(self, q):
+        q = np.asarray(q, dtype=float)
+        return self.c_prime(q) * q / self.c(q)
+
+    def efficient_quality(self, v):
+        """q with c'(q) = v, and exactly 0 where v <= c'(0): one root call
+        for the whole array.  Returns an array, or a float for scalar v."""
+        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+        out = np.zeros_like(v_arr)
+        live = ~(v_arr <= self.coeffs[1])
+        if live.any():
+            out[live] = _monotone_root(self.c_prime, v_arr[live])
+        return out if np.ndim(v) else float(out[0])
 
     def to_spec(self):
         return {"kind": "poly_cost", "coeffs": list(self.coeffs),
@@ -253,36 +223,25 @@ _BAND_PRICES = np.geomspace(1.0, 1e3, 64)
 
 @dataclass(frozen=True)
 class NonlinearDemandModel:
-    """Quantity-side demand D(v,p) = h_q^{-1}(v,p) with a band on elasticity.
+    """Quantity-side demand D(v,p) with a band on elasticity.
 
-    Either supply the marginal utility h_q (decreasing in q) and let demand
-    be obtained by monotone inversion, or supply D directly.  Elasticities
-    come from central differences in p.
+    Elasticities come from central differences in p.
 
     The elasticity band eta(v,p) in [eta_bar - 1, eta_bar] is enforced on a
     probe grid over p >= 1 only (= marginal cost).
     """
 
     eta_bar: float
-    D: Optional[Callable] = None
-    h_q: Optional[Callable] = None
+    D: Callable
 
     def __post_init__(self):
         if self.eta_bar >= -1.0:
             raise ValueError("elasticity bound must be below -1")
-        if self.D is None and self.h_q is None:
-            raise ValueError("provide demand D or marginal utility h_q")
 
     def demand(self, v, p):
         if np.any(np.asarray(p) <= 0):
             raise ValueError("price must be positive")
-        if self.D is not None:
-            return np.asarray(self.D(v, p), dtype=float)
-        # invert h_q(v, .) = p; h concave in q makes h_q decreasing
-        v_arr, p_arr = np.broadcast_arrays(np.asarray(v, dtype=float),
-                                           np.asarray(p, dtype=float))
-        g = lambda q: -np.asarray(self.h_q(v_arr, q), dtype=float)
-        return _monotone_root(g, -p_arr, lo=1e-12)
+        return np.asarray(self.D(v, p), dtype=float)
 
     def elasticity(self, v, p):
         p = np.asarray(p, dtype=float)

@@ -312,25 +312,37 @@ def test_convex_cost_past_the_tail_condition_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "certificates.jsonl").exists()
 
 
-@pytest.mark.parametrize("alpha, code, message", [
-    # S = E[v^2] / 2 diverges on Pareto(1.5), though 1.5 > 4/3 passes the
-    # tail condition at eta_bar = 4
-    (1.5, 2, "config error: surplus is infinite"),
-    # S is finite on Pareto(2.1), but the folded tail asks for c'(q) = v
-    # past the root finder's bracket
-    (2.1, 3, "numerical failure: marginal evaluator never reaches"),
-])
-def test_quadratic_cost_on_a_heavy_tail_is_one_line(tmp_path, capsys, alpha,
-                                                    code, message):
-    path = write_cfg(tmp_path, "c.json", {
+def _quadratic_cost_cfg(tmp_path, alpha):
+    return write_cfg(tmp_path, "c.json", {
         "version": 1, "scenario": "convex_cost",
         "cost": {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5],
                  "eta_bar": 4.0},
         "battery": [{"kind": "pareto", "alpha": alpha}]})
+
+
+@pytest.mark.parametrize("alpha, code, message", [
+    # S = E[v^2] / 2 diverges on Pareto(1.5), though 1.5 > 4/3 passes the
+    # tail condition at eta_bar = 4
+    (1.5, 2, "config error: surplus is infinite"),
+])
+def test_quadratic_cost_on_a_heavy_tail_is_one_line(tmp_path, capsys, alpha,
+                                                    code, message):
+    path = _quadratic_cost_cfg(tmp_path, alpha)
     assert run(["verify", "--config", path, "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "certificates.jsonl").exists()
+
+
+def test_quadratic_cost_on_a_finite_heavy_tail_is_certified(tmp_path):
+    # S is finite on Pareto(2.1), and the folded tail asks for c'(q) = v up
+    # to 4.6e61; under q^2/2 every law earns Pi/S = z (1 - z)
+    path = _quadratic_cost_cfg(tmp_path, 2.1)
+    assert run(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificates.jsonl").read_text())
+    z = cert["parameters"]["z"]
+    assert cert["pass"] and z == pytest.approx(0.366025403784, rel=1e-12)
+    assert cert["measured_value"] == pytest.approx(z * (1.0 - z), rel=1e-9)
 
 
 @pytest.mark.parametrize("spec, message", [

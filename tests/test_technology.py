@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import markup_guarantee.technology as tech
 from markup_guarantee.mechanisms import constant_markup_mechanism
 from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
-                                         GeneralConvexCost,
                                          NonlinearDemandModel, PolynomialCost,
                                          RootFindError,
                                          SeparableQuantityUtility,
@@ -61,10 +61,28 @@ class TestGeneralConvex:
 
     def test_validation_rejects_concave_marginal(self):
         with pytest.raises(CostValidationError):
-            GeneralConvexCost(
-                c=lambda q: np.asarray(q, dtype=float) ** 1.5 / 1.5,
-                c_prime=lambda q: np.asarray(q, dtype=float) ** 0.5,
-                eta_bar=2.0)
+            # c''' = 2 - 2q is negative past q = 1
+            PolynomialCost(coeffs=[0.0, 0.0, 0.5, 1.0 / 3.0, -1.0 / 12.0],
+                           eta_bar=4.0)
+
+    @pytest.mark.parametrize("coeffs, eta_bar", [
+        # an infinite coefficient made every Q 4.1e-25
+        ([0.0, 0.0, np.inf], 2.0),
+        ([0.0, 0.0, np.nan], 2.0),
+        ([0.0, 0.0, 0.5], np.nan),
+        ([0.0, 0.0, 0.5], np.inf),
+        # linear: no efficient quality
+        ([0.0, 1.0], 2.0),
+        # the elasticity rises to the degree 4, past the declared 2.5
+        ([0.0, 0.0, 0.5, 0.0, 0.25e-20], 2.5),
+        # sign-mixed: the elasticity reaches 5.03, past the degree 5
+        ([0.0, 0.0, 0.5, 1.0, -0.5, 1.0], 6.0),
+    ], ids=["inf-coeff", "nan-coeff", "nan-eta-bar", "inf-eta-bar", "linear",
+            "tiny-top-coeff", "sign-mixed"])
+    def test_validation_is_exact(self, coeffs, eta_bar):
+        with pytest.raises(CostValidationError):
+            cost_from_spec({"kind": "poly_cost", "coeffs": coeffs,
+                            "eta_bar": eta_bar})
 
     def test_validation_rejects_nonzero_origin(self):
         with pytest.raises(CostValidationError):
@@ -85,26 +103,45 @@ class TestMonotoneRoot:
         v = np.concatenate([rng.uniform(0.0, 5.0, 500),
                             10.0 ** rng.uniform(-6.0, 4.0, 500)])
         cost = self.COST
-        q = tech._monotone_root(cost.c_prime, v, g_prime=cost.c_double_prime)
-        one = [tech._monotone_root(cost.c_prime, v[i:i + 1],
-                                   g_prime=cost.c_double_prime)[0]
+        q = tech._monotone_root(cost.c_prime, v)
+        one = [tech._monotone_root(cost.c_prime, v[i:i + 1])[0]
                for i in range(v.size)]
         assert q.shape == v.shape
         assert np.array_equal(q, np.array(one))
         assert np.allclose(cost.c_prime(q), v, rtol=1e-12, atol=0)
 
-    def test_bracket_doubles_past_one(self):
-        # c'(q) = q: the roots lie far above the first bracket [0, 1]
-        target = np.array([0.5, 3.0, 1e6])
-        q = tech._monotone_root(lambda x: x, target)
-        np.testing.assert_allclose(q, target, rtol=1e-12)
-        assert tech._monotone_root(lambda x: x, 40.0) == pytest.approx(40.0)
+    def test_roots_past_two_to_the_200(self):
+        # c'(q) = q: the roots are the targets themselves
+        target = np.array([0.5, 2.0 ** 201, 4.6e61, 1e300])
+        quadratic = PolynomialCost(coeffs=[0.0, 0.0, 0.5], eta_bar=2.0)
+        assert np.array_equal(quadratic.efficient_quality(target), target)
+        assert self.COST.efficient_quality(1e300) == pytest.approx(
+            1e100, rel=1e-15)
 
-    def test_bounded_evaluator_raises(self):
-        with pytest.raises(RootFindError):
-            tech._monotone_root(np.tanh, 2.0)
-        with pytest.raises(RootFindError):
-            tech._monotone_root(np.tanh, np.array([0.5, 2.0]))
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.5],
+                                        [0.0, 0.0, 0.5, 0.0, 0.25]],
+                             ids=["quadratic", "quartic"])
+    def test_roots_match_brentq(self, monkeypatch, coeffs):
+        monkeypatch.setattr(tech, "_NEWTON_PASSES", 8)
+        cost = PolynomialCost(coeffs=coeffs, eta_bar=4.0)
+        target = 10.0 ** np.linspace(-300.0, 300.0, 241)
+        q = cost.efficient_quality(target)
+        for t, root in zip(target, q):
+            # c'(q) = q or q + q^3 passes t at 2t and at 2 t^(1/3)
+            hi = 2.0 * (t if len(coeffs) == 3 else min(t, t ** (1.0 / 3.0)))
+            oracle = brentq(lambda x: float(cost.c_prime(x)) - t, 0.0, hi,
+                            xtol=1e-320, rtol=4.0 * np.finfo(float).eps,
+                            maxiter=500)
+            assert abs(root - oracle) <= 4.0 * np.spacing(oracle)
+
+    def test_marginal_past_the_float_limit_raises(self):
+        # c'(q) = q + q^3 meets the float64 maximum at a finite q, but the
+        # marginal overflows on the way down to it
+        top = np.finfo(float).max
+        with pytest.raises(RootFindError, match="float64 limit"):
+            self.COST.efficient_quality(top)
+        with pytest.raises(RootFindError, match="float64 limit"):
+            self.COST.efficient_quality(np.array([0.5, top]))
 
     def test_nonpositive_values_get_zero_quality(self):
         cost = self.COST
@@ -115,6 +152,9 @@ class TestMonotoneRoot:
             assert np.all(q[[2, 4]] > 0.0)
         assert cost.efficient_quality(-1.0) == 0.0
         assert Q(0.0) == 0.0
+        # below c'(0) = 1 nothing is sold, exactly
+        shifted = PolynomialCost(coeffs=[0.0, 1.0, 0.5], eta_bar=2.0)
+        assert shifted.efficient_quality(0.5) == 0.0
 
     def test_one_root_call_per_array(self, monkeypatch):
         calls = []
@@ -128,15 +168,7 @@ class TestMonotoneRoot:
         v = np.linspace(-1.0, 4.0, 50)
         self.COST.efficient_quality(v)
         constant_markup_mechanism(self.COST).mechanism.Q(v)
-        m = NonlinearDemandModel(
-            eta_bar=-2.0,
-            h_q=lambda v, q: np.asarray(v, dtype=float)
-            * np.asarray(q, dtype=float) ** -0.5)
-        d = m.demand(v[v > 0][:, None], np.array([1.0, 2.0, 4.0]))
-        assert calls == [40, 40, 120]
-        np.testing.assert_allclose(
-            d, (v[v > 0][:, None] / np.array([1.0, 2.0, 4.0])) ** 2,
-            rtol=1e-8)
+        assert calls == [40, 40]
 
 
 class TestQuantitySide:
@@ -171,13 +203,6 @@ class TestQuantitySide:
         m = NonlinearDemandModel(eta_bar=-2.0, D=D)
         with pytest.raises(CostValidationError):
             m.check_band(v_grid=[1.0])
-
-    def test_demand_from_marginal_utility_inversion(self):
-        m = NonlinearDemandModel(
-            eta_bar=-2.0,
-            h_q=lambda v, q: np.asarray(v, dtype=float) * np.asarray(q, dtype=float) ** -0.5)
-        # h_q = v q^{-1/2} = p  =>  q = (v/p)^2
-        assert float(m.demand(2.0, 1.0)) == pytest.approx(4.0, rel=1e-8)
 
 
 def test_cost_specs_round_trip():

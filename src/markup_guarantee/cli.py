@@ -391,6 +391,8 @@ def cmd_oracle(args):
     _emit(args, "oracle.json", json.dumps(report, sort_keys=True) + "\n")
     print(f"oracle profit {oracle.profit:.12g}, screening profit {Pi:.12g}, "
           f"relative gap {gap:.3%} [{'pass' if report['pass'] else 'fail'}]")
+    for note in oracle.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_CERT_FAIL
 
 

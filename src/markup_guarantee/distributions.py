@@ -28,14 +28,6 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 
-# Mixture.quantile's probes, in probe spacings from the centre: around the
-# interpolated first iterate, around a Newton iterate, and evenly across a
-# bracket being split
-_FIRST_PROBES = np.array([[-1, 0, 1]])
-_NEWTON_PROBES = np.array([-8, -2, -1, 0, 1, 2, 8])
-_SPLIT_PROBES = np.arange(-3, 4)
-
-
 def _finite(*params):
     """Reject NaN and infinite parameters when a law is built."""
     if not all(math.isfinite(x) for x in params):
@@ -429,86 +421,30 @@ class Mixture(ValueDistribution):
         return tuple((a, b) for a, b in zip(ends, ends[1:])
                      if any(lo <= a and b <= hi for lo, hi in segs))
 
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def quantile(self, u):
         """Generalised inverse: the float x with F(x-) < u <= F(x), x- being
         the float below x; the bottom of the support where u <= F there,
         and the top where u exceeds F there.
 
-        Bracket.  One vectorised CDF call on a table of points: each
-        component's own quantile at u and, where u < w, at u/w for its
-        weight w (where it alone would reach u), the support and
-        density-segment ends, and each atom with the float below it.  A
-        search in the table brackets every query between neighbours
-        lo < hi with F(lo) < u <= F(hi); a query inside an atom's jump is
-        answered there.  The first iterate interpolates linearly between
-        them.
-
-        Newton steps.  Each pass evaluates F at the iterate and at probes
-        around it (1 float either side on the first pass; then 1, 2 and 8
-        spacings), and takes the two neighbouring points that straddle u
-        as the new bracket.  The next iterate is x - (F(x) - u)/f(x).  A
-        spacing is one float, or a quarter of the run of floats over which
-        F moves by one rounding of u, ulp(u)/(f ulp(x)), if that is longer:
-        in a heavy tail, or near u = 0 where f is infinite, Newton cannot
-        place x more finely.  An iterate more than 16 floats outside the
-        bracket (f = 0, say), or a spacing of an eighth of the bracket or
-        more, gives way to seven probes spread evenly over the bracket,
-        counted in floats.
-
-        Stopping.  A query stops when its bracket ends are adjacent floats,
-        and returns the upper one.  Every pass shrinks every open bracket;
-        on a smooth stretch two or three passes end it.
+        `_bracket` answers a query where its table settles it, and puts
+        every other between neighbours lo < hi of the table with
+        F(lo) < u <= F(hi).  Bisection on float bit patterns (floats >= 0
+        are ordered as their bit patterns, adjacent ones 1 apart) halves
+        each open bracket with one CDF call on the middle points, until its
+        ends are adjacent floats, and returns the upper one: at most 63
+        calls after the table's.
         """
         shape = np.shape(u)
         u = np.ravel(np.asarray(u, dtype=float))
-        out, run, lo, hi, x = self._bracket(u)
-        uu = u[run]
-        offsets, flat = _FIRST_PROBES, None
+        out, run, lo, hi, _ = self._bracket(u)
+        lo, hi, uu = lo.view(np.int64), hi.view(np.int64), u[run]
         while run.size:
-            # floats >= 0 are ordered as their bit patterns, adjacent ones
-            # 1 apart; the open bracket holds the floats in1..in2
-            blo, bhi = lo.view(np.int64), hi.view(np.int64)
-            in1, in2 = blo + 1, bhi - 1
-            width = bhi - blo
-            # as bit patterns, NaN and negative iterates fall outside
-            bx = x.view(np.int64)
-            newton = (bx >= blo - 16) & (bx <= bhi + 16)
-            centre = np.where(newton, np.minimum(np.maximum(bx, in1), in2),
-                              blo + width // 2)
-            if flat is not None:
-                split = (width + 7) // 8
-                near = newton & (flat < split)
-                step = np.maximum(np.where(near, flat, split), 1)
-                offsets = step.astype(np.int64)[:, None] * np.where(
-                    near[:, None], _NEWTON_PROBES, _SPLIT_PROBES)
-            # the bracket ends flank the probes; the first point at or above
-            # u and the one before it are the new ends (an adjacent pair
-            # probes its lower end again, and stays)
-            pts = np.empty((run.size, offsets.shape[1] + 2), dtype=np.int64)
-            pts[:, 0], pts[:, -1] = blo, bhi
-            pts[:, 1:-1] = np.minimum(np.maximum(
-                centre[:, None] + offsets, in1[:, None]), in2[:, None])
-            pts = pts.view(float)
-            Fp = np.asarray(self.cdf(pts[:, 1:-1].ravel()),
-                            dtype=float).reshape(run.size, -1)
-            below = np.ones(pts.shape, dtype=bool)
-            below[:, -1] = False
-            below[:, 1:-1] = Fp < uu[:, None]
-            k = np.argmin(below, axis=1)
-            rows = np.arange(run.size)
-            lo, hi = pts[rows, k - 1], pts[rows, k]
-            out[run] = hi
-            keep = hi.view(np.int64) - lo.view(np.int64) > 1
-            Fc = Fp[keep, offsets.shape[1] // 2]
-            run, lo, hi, uu, centre = (
-                a[keep] for a in (run, lo, hi, uu, centre))
-            if not run.size:
-                break
-            xc = centre.view(float)
-            f = np.asarray(self.pdf(xc), dtype=float)
-            flat = np.floor(np.spacing(uu) / (4.0 * f * np.spacing(xc)))
-            x = xc - (Fc - uu) / f
+            mid = lo + (hi - lo) // 2
+            below = self.cdf(mid.view(float)) < uu
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            out[run] = hi.view(float)
+            keep = hi - lo > 1
+            run, lo, hi, uu = run[keep], lo[keep], hi[keep], uu[keep]
         return np.atleast_1d(out.reshape(shape))
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")

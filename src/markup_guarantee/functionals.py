@@ -20,9 +20,8 @@ quadrature errors of the two surplus rows as two more rows.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -137,7 +136,7 @@ def expectation(F: ValueDistribution, g: Callable, breakpoints=()):
     return value, err
 
 
-def survival_integral(F: ValueDistribution, g: Callable, breakpoints=()):
+def survival_integral(F: ValueDistribution, g: Callable, breakpoints):
     """int_0^vbar g(v) (1 - F(v)) dv.  Returns (value, error_estimate)."""
     pts = [F.support[0], *breakpoints, *(loc for loc, _ in F.atoms())]
     pts += [e for seg in F.density_segments() for e in seg]
@@ -233,9 +232,6 @@ class SurplusReport:
     err_S: float
     err_Pi: float
     err_U: float
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
 
     def csv_row(self):
         return [f"{x:.17g}" for x in

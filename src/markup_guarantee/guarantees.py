@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+# the procurement shares are closed forms evaluated at each theta, so only
+# rounding separates them from their bounds
+_PROCUREMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class GuaranteeCertificate:
     parameters: dict
     bound_value: float
     measured_value: float
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     @property
     def slack(self):
@@ -313,8 +316,7 @@ def procurement_quality(eta: float) -> tuple:
     return 1.0 / eta, (1.0 / eta) ** (1.0 / (eta - 1.0))
 
 
-def verify_procurement_quality(eta: float, theta_grid,
-                               tol: float = 1e-9):
+def verify_procurement_quality(eta: float, theta_grid):
     """Simulate the seller's best response and certify the pointwise share."""
     price, share = procurement_quality(eta)
     certs = []
@@ -327,7 +329,7 @@ def verify_procurement_quality(eta: float, theta_grid,
             parameters={"eta": eta, "theta": float(theta), "price": price},
             bound_value=share,
             measured_value=buyer_surplus / s_theta,
-            tolerance=tol))
+            tolerance=_PROCUREMENT_TOL))
     return certs
 
 
@@ -341,7 +343,7 @@ def procurement_quantity(eta: float) -> tuple:
     return z, share
 
 
-def verify_procurement_quantity(eta: float, theta_grid, tol: float = 1e-9):
+def verify_procurement_quantity(eta: float, theta_grid):
     """Seller picks q with theta = p(q); certify the buyer's surplus share."""
     z, share = procurement_quantity(eta)
     certs = []
@@ -356,6 +358,6 @@ def verify_procurement_quantity(eta: float, theta_grid, tol: float = 1e-9):
             parameters={"eta": eta, "theta": float(theta), "z": z},
             bound_value=share,
             measured_value=buyer_surplus / s_theta,
-            tolerance=tol))
+            tolerance=_PROCUREMENT_TOL))
     return certs
 

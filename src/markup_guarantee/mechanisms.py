@@ -92,7 +92,7 @@ def guarantee_mechanism(eta: float) -> DirectMechanism:
     return markup.mechanism
 
 
-def envelope_transfer(Q, v, breakpoints=()):
+def envelope_transfer(Q, v, breakpoints):
     """T(v) = v Q(v) - int_0^v Q(s) ds by quadrature."""
     v = float(v)
     if v <= 0.0:

@@ -73,7 +73,7 @@ class VirtualValueCurve:
 
     distribution: ValueDistribution
     ironed_intervals: tuple          # ((v_lo, v_hi, constant), ...)
-    cutoff: Optional[float] = None
+    cutoff: Optional[float]
 
     def __post_init__(self):
         rows = [(-math.inf, -math.inf, 0.0), *self.ironed_intervals]

@@ -63,15 +63,9 @@ class IsoElasticCost:
     def eta_bar(self):
         return self.eta
 
-    def elasticity(self, q):
-        return self.eta
-
     def efficient_quality(self, v):
         v = np.asarray(v, dtype=float)
         return v ** (1.0 / (self.eta - 1.0))
-
-    def to_spec(self):
-        return {"kind": "iso_elastic", "eta": self.eta}
 
 
 # Newton passes one root solve may take before it raises RootFindError
@@ -150,10 +144,6 @@ class PolynomialCost:
         self.c = np.polynomial.Polynomial(coeffs)
         self.c_prime = self.c.deriv()
 
-    def elasticity(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.c_prime(q) * q / self.c(q)
-
     def efficient_quality(self, v):
         """q with c'(q) = v, and exactly 0 where v <= c'(0): one root call
         for the whole array.  Returns an array, or a float for scalar v."""
@@ -163,10 +153,6 @@ class PolynomialCost:
         if live.any():
             out[live] = _monotone_root(self.c_prime, v_arr[live])
         return out if np.ndim(v) else float(out[0])
-
-    def to_spec(self):
-        return {"kind": "poly_cost", "coeffs": list(self.coeffs),
-                "eta_bar": self.eta_bar}
 
 
 @dataclass(frozen=True)
@@ -182,24 +168,10 @@ class SeparableQuantityUtility:
         if self.eta >= -1.0:
             raise ValueError("demand elasticity must be below -1")
 
-    def h(self, v, q):
-        v = np.asarray(v, dtype=float)
-        q = np.asarray(q, dtype=float)
-        e = self.eta
-        return v * (e / (e + 1.0)) * q ** ((e + 1.0) / e)
-
-    def h_q(self, v, q):
-        v = np.asarray(v, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return v * q ** (1.0 / self.eta)
-
     def demand(self, v, p):
         v = np.asarray(v, dtype=float)
         p = np.asarray(p, dtype=float)
         return (p / v) ** self.eta
-
-    def elasticity(self, v, p):
-        return self.eta
 
     @property
     def eta_bar(self):
@@ -212,9 +184,6 @@ class SeparableQuantityUtility:
         e = self.eta
         value = -(v ** -e) * p ** (e + 1.0) / (e + 1.0)
         return QuadResult(value, np.zeros_like(value))
-
-    def to_spec(self):
-        return {"kind": "separable_quantity", "eta": self.eta}
 
 
 # the prices p >= 1 (= marginal cost) on which check_band probes the band

@@ -323,9 +323,9 @@ def test_criterion_10_quantity_discrimination():
 
 def test_criterion_11_procurement():
     theta = np.geomspace(0.1, 10.0, 100)
-    certs_q = mg.verify_procurement_quality(2.0, theta, tol=1e-9)
+    certs_q = mg.verify_procurement_quality(2.0, theta)
     theta2 = np.geomspace(1.05, 10.0, 100)
-    certs_n = mg.verify_procurement_quantity(-2.0, theta2, tol=1e-9)
+    certs_n = mg.verify_procurement_quantity(-2.0, theta2)
     worst = max(max(abs(c.slack) for c in certs_q),
                 max(abs(c.slack) for c in certs_n))
     ok = worst <= 1e-9

@@ -141,6 +141,19 @@ class TestOracle:
         rep = json.loads((tmp_path / "oracle.json").read_text())
         assert rep["pass"] and rep["relative_gap"] < 0.005
 
+    def test_grid_top_warning_reaches_stderr(self, tmp_path, capsys):
+        # the top type's efficient quality is 2, past the grid's top of 1
+        cfg = write_cfg(tmp_path, "o.json", {
+            "version": 1, "eta": 2.0, "values": [1.0, 2.0],
+            "masses": [0.5, 0.5], "quality_grid": [0.0, 0.5, 1.0]})
+        # the capped grid misses the continuous profit by a third: exit 1
+        assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert ("optimum touches the top of the quality grid"
+                in capsys.readouterr().err)
+        rep = json.loads((tmp_path / "oracle.json").read_text())
+        assert set(rep) == {"oracle_profit", "continuous_profit",
+                            "relative_gap", "mode", "allocation", "pass"}
+
     def test_invalid_masses_are_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "o.json", {
             "version": 1, "values": [1.0, 2.0], "masses": [1.5, -0.5],
@@ -195,7 +208,7 @@ class TestSweep:
     @pytest.mark.parametrize("mechanism", ["guarantee", "bayes_optimal"])
     def test_json_rows_are_the_reports_own_json(self, tmp_path, mechanism):
         # each sweep.jsonl row is the law's spec merged into the report's
-        # to_json, byte for byte
+        # fields, byte for byte
         battery = [{"kind": "uniform", "a": 0.0, "b": 1.0},
                    {"kind": "pareto", "alpha": 3.1},
                    {"kind": "binary", "v_lo": 1.0, "v_hi": 2.0, "p_hi": 0.3}]
@@ -212,7 +225,7 @@ class TestSweep:
                  else mg.bayes_optimal_mechanism(F, cost))
             rep = mg.full_report(F, M, cost)
             expected.append(json.dumps(
-                {"distribution": F.to_spec(), **json.loads(rep.to_json())},
+                {"distribution": F.to_spec(), **vars(rep)},
                 sort_keys=True))
         assert (tmp_path / "sweep.jsonl").read_text() == \
             "\n".join(expected) + "\n"

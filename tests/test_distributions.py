@@ -303,7 +303,7 @@ def _bisected_quantile(F, u):
     return hi.view(float)
 
 
-@pytest.mark.parametrize("F", _acceptance_family(12), ids=range(12))
+@pytest.mark.parametrize("F", _QUANTILE_LAWS, ids=range(len(_QUANTILE_LAWS)))
 def test_mixture_quantile_matches_bisection(F):
     u = _grid()
     assert np.array_equal(F.quantile(u), _bisected_quantile(F, u))
@@ -349,19 +349,24 @@ def test_quantile_near_zero_with_infinite_density():
 
 
 def test_quantile_calls_per_grid(monkeypatch):
-    # each of cdf and pdf is a full pass over the mixture's components
-    calls = []
-    for name in ("cdf", "pdf"):
+    # each of cdf and pdf is a full pass over the mixture's components:
+    # iron's sample interpolates in one table, and the exact inverse adds
+    # one bisection step per halving of the widest bracket
+    calls = {"cdf": 0, "pdf": 0}
+    for name in calls:
         method = getattr(Mixture, name)
 
-        def counted(self, v, method=method):
-            calls.append(1)
+        def counted(self, v, method=method, name=name):
+            calls[name] += 1
             return method(self, v)
 
         monkeypatch.setattr(Mixture, name, counted)
-    worst = 0
+    near, exact = set(), set()
     for F in _acceptance_family(60):
-        calls.clear()
-        F.quantile(_grid())
-        worst = max(worst, len(calls))
-    assert worst <= 16
+        for seen, inverse in ((near, F._near_quantile), (exact, F.quantile)):
+            calls.update(cdf=0, pdf=0)
+            inverse(_grid())
+            seen.add((calls["cdf"], calls["pdf"]))
+    assert near == {(1, 0)}
+    assert max(cdf for cdf, _ in exact) <= 64
+    assert {pdf for _, pdf in exact} == {0}

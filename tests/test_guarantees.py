@@ -306,7 +306,8 @@ class TestParetoOutcomes:
 def test_certificate_serialization():
     cert = GuaranteeCertificate(claim_id="x", parameters={"eta": 2.0},
                                 bound_value=np.float64(0.5),
-                                measured_value=np.float64(0.6))
+                                measured_value=np.float64(0.6),
+                                tolerance=1e-6)
     import json
     payload = json.loads(cert.to_json())
     assert payload["pass"] is True

@@ -26,7 +26,7 @@ def test_guarantee_transfer_consistent_with_quadrature():
     M = guarantee_mechanism(3.0)
     for v in (0.5, 1.0, 2.0):
         assert float(np.asarray(M.T(v))) == pytest.approx(
-            envelope_transfer(M.Q, v), rel=1e-9)
+            envelope_transfer(M.Q, v, ()), rel=1e-9)
 
 
 def test_guarantee_markup_is_constant():
@@ -104,7 +104,7 @@ def test_iso_elastic_markup_states_the_envelope_transfer():
     mk = constant_markup_mechanism(IsoElasticCost(eta=3.0))
     for v in (0.5, 1.0, 2.0):
         assert float(mk.mechanism.T(v)) == pytest.approx(
-            envelope_transfer(mk.mechanism.Q, v), rel=1e-9)
+            envelope_transfer(mk.mechanism.Q, v, ()), rel=1e-9)
     general = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
     assert constant_markup_mechanism(general).mechanism.T is None
 

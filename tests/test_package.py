@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import markup_guarantee as mg
 from markup_guarantee.cli import build_parser
@@ -36,6 +37,23 @@ _UNCALLED = {
     "NonlinearDemandModel",
 }
 
+# methods and properties of public classes that need no caller there,
+# each with the reason it stays
+_UNCALLED_MEMBERS = {
+    # the error half of the (value, error) pair, named as the value half
+    # is; callers unpack the pair
+    "QuadResult.error",
+}
+
+
+def _sources(root):
+    """Parsed modules of the package, its demos and its benchmark, test
+    files excluded, as (module name, tree)."""
+    paths = [*(root / "src" / "markup_guarantee").glob("*.py"),
+             *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    return [(path.stem, ast.parse(path.read_text())) for path in paths
+            if not path.name.startswith("test_")]
+
 
 def _callers(root):
     """Names loaded, and attributes read off the package or a submodule, in
@@ -44,12 +62,7 @@ def _callers(root):
     homes = {"mg", "markup_guarantee", *SUBMODULES,
              *(f"markup_guarantee.{name}" for name in SUBMODULES)}
     used = set()
-    paths = [*(root / "src" / "markup_guarantee").glob("*.py"),
-             *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    for path in paths:
-        if path.name.startswith("test_"):
-            continue
-        tree = ast.parse(path.read_text())
+    for _, tree in _sources(root):
         for top in tree.body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
@@ -66,6 +79,50 @@ def _callers(root):
     return used
 
 
+def _attributes_read(root):
+    """Attribute names read in the package, its demos and its benchmark
+    (test files excluded): the set read off any object but self, and the
+    (module, class, name) triples read off self in a class body."""
+    anywhere, on_self = set(), set()
+    for module, tree in _sources(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                on_self |= {(module, node.name, sub.attr)
+                            for sub in ast.walk(node)
+                            if isinstance(sub, ast.Attribute)
+                            and ast.unparse(sub.value) == "self"}
+            elif (isinstance(node, ast.Attribute)
+                    and ast.unparse(node.value) != "self"):
+                anywhere.add(node.attr)
+    return anywhere, on_self
+
+
+def _public_members():
+    """(class, member name) for each public method and property that a
+    public class of a submodule defines itself."""
+    for name in SUBMODULES:
+        module = importlib.import_module(f"markup_guarantee.{name}")
+        for cls in (getattr(module, n) for n in module.__all__):
+            if not isinstance(cls, type):
+                continue
+            for member, obj in vars(cls).items():
+                if not member.startswith("_") and isinstance(
+                        obj, (types.FunctionType, property, staticmethod,
+                              classmethod)):
+                    yield cls, member
+
+
+def _related(module, class_name, cls):
+    """Whether the class class_name of a package module is cls, one of its
+    bases or one of its subclasses: self there may be a cls."""
+    if module not in SUBMODULES:
+        return False
+    other = getattr(importlib.import_module(f"markup_guarantee.{module}"),
+                    class_name, None)
+    return isinstance(other, type) and (issubclass(cls, other)
+                                        or issubclass(other, cls))
+
+
 def test_every_public_name_has_a_caller():
     root = pathlib.Path(__file__).resolve().parents[1]
     used = _callers(root)
@@ -75,6 +132,17 @@ def test_every_public_name_has_a_caller():
                 if n not in used and n not in _UNCALLED]
     assert uncalled == []
     assert _UNCALLED.isdisjoint(used)
+    # a member counts as called when its name is read off any object but
+    # self, or off self in its own class, a base or a subclass
+    anywhere, on_self = _attributes_read(root)
+    members = [(f"{cls.__name__}.{member}", member in anywhere or any(
+                   read == member and _related(module, owner, cls)
+                   for module, owner, read in on_self))
+               for cls, member in _public_members()]
+    assert [m for m, called in members
+            if not called and m not in _UNCALLED_MEMBERS] == []
+    assert [m for m, called in members
+            if called and m in _UNCALLED_MEMBERS] == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -120,7 +188,7 @@ def _cli_flags():
 def test_settable_value_count():
     # each settable value doubles the configurations to cover: a change
     # that adds or removes one updates this pin and the ROADMAP's count
-    assert (_library_values(), _cli_flags()) == (24, 20)
+    assert (_library_values(), _cli_flags()) == (18, 20)
 
 
 def test_tracer_targets_exist():

@@ -23,7 +23,7 @@ class TestIsoElastic:
     def test_elasticity_is_constant(self):
         cost = IsoElasticCost(eta=3.0)
         for q in (0.1, 1.0, 7.0):
-            assert cost.elasticity(q) == pytest.approx(3.0)
+            assert q * cost.c_prime(q) / cost.c(q) == pytest.approx(3.0)
 
     def test_rejects_eta_at_most_one(self):
         with pytest.raises(ValueError):
@@ -45,12 +45,13 @@ class TestGeneralConvex:
         iso = IsoElasticCost(eta=2.0)
         q = np.geomspace(0.01, 10.0, 30)
         np.testing.assert_allclose(poly.c(q), iso.c(q), rtol=1e-12)
-        np.testing.assert_allclose(poly.elasticity(q), 2.0, rtol=1e-12)
+        np.testing.assert_allclose(q * poly.c_prime(q) / poly.c(q), 2.0,
+                                   rtol=1e-12)
 
     def test_mixed_polynomial_elasticity_band(self):
         cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
         q = np.geomspace(0.01, 100.0, 50)
-        eta = cost.elasticity(q)
+        eta = q * cost.c_prime(q) / cost.c(q)
         assert np.all(eta <= 4.0 + 1e-9)
         assert np.all(eta >= 2.0 - 1e-9)
 
@@ -176,13 +177,16 @@ class TestQuantitySide:
         m = SeparableQuantityUtility(eta=-2.0)
         # D(v, p) = (p/v)^eta = (v/p)^2
         assert float(m.demand(2.0, 4.0)) == pytest.approx(0.25)
-        assert m.elasticity(1.0, 3.0) == -2.0
+        # d ln D / d ln p, from a 0.1% step in p
+        step = np.log(m.demand(1.0, 3.003) / m.demand(1.0, 3.0))
+        assert float(step / np.log(1.001)) == pytest.approx(-2.0, rel=1e-9)
 
     def test_separable_marginal_utility_inverts_demand(self):
         m = SeparableQuantityUtility(eta=-3.0)
         v, p = 1.5, 2.5
         q = float(m.demand(v, p))
-        assert float(m.h_q(v, q)) == pytest.approx(p, rel=1e-12)
+        # h_q(v, q) = v q^(1/eta), the marginal utility, is the price
+        assert v * q ** (1.0 / m.eta) == pytest.approx(p, rel=1e-12)
 
     def test_efficient_surplus_per_value(self):
         m = SeparableQuantityUtility(eta=-2.0)

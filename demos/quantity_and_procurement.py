@@ -20,10 +20,10 @@ import markup_guarantee as mg
 # -- 1. quantity sale with elasticity bound ---------------------------------
 eta_bar = -3.0
 model = mg.SeparableQuantityUtility(eta=eta_bar)
-p_star = mg.uniform_price_mechanism(eta_bar).p_star
+p_star, share = mg.quantity_guarantee(eta_bar)
 print(f"quantity sale, demand elasticity bound {eta_bar:g}:")
 print(f"  post price p* = {p_star:.6f}, "
-      f"guaranteed profit share = {mg.quantity_guarantee(eta_bar):.6f}")
+      f"guaranteed profit share = {share:.6f}")
 certs = mg.verify_quantity_guarantee(
     model, [mg.Uniform(0.5, 2.0), mg.Binary(1.0, 3.0, 0.4)])
 for c in certs:

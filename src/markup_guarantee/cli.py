@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 CONFIG_VERSION = 1
+
+# the oracle passes when the screening profit is within this relative gap
+# of the exact optimum on the quality grid
+ORACLE_PASS_GAP = 0.02
 
 
 class ConfigError(ValueError):
@@ -94,6 +99,15 @@ def _default_battery(eta):
         PointMass(1.0),
         Discrete(values=vals, masses=masses),
     ]
+
+
+def _in_range(value, name, lo, hi):
+    """value as a float in the open interval (lo, hi), or a config error
+    that names the input; NaN and non-numbers lie in no interval."""
+    if not isinstance(value, (int, float)) or not lo < value < hi:
+        raise ConfigError(f"{name} must lie in ({lo:g}, {hi:g}), "
+                          f"got {value!r}")
+    return float(value)
 
 
 def _out_path(out_dir, name):
@@ -176,16 +190,13 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_guarantee(args):
-    eta = args.eta
-    if eta is None or eta <= 1.0:
-        raise ConfigError("--eta > 1 is required for 'guarantee'")
+    eta = _in_range(args.eta, "--eta", 1.0, math.inf)
     cfg = _load_config(args.config, {"battery"}) if args.config else None
     battery = _battery_from_config(cfg, eta)
     if not battery:
         print("usage: the distribution battery is empty; provide at least "
               "one spec in the config's 'battery' list", file=sys.stderr)
         return EXIT_CONFIG
-    tol = args.tol
     M = guarantee_mechanism(eta)
     cost = IsoElasticCost(eta=eta)
     pi_target = guarantee_ratio(eta)
@@ -195,31 +206,24 @@ def cmd_guarantee(args):
     rows = []
     all_pass = True
     for F, rep in zip(battery, reports):
-        ok = (abs(rep.pi_ratio - pi_target) <= tol
-              and abs(rep.u_ratio - u_target) <= tol)
+        ok = (abs(rep.pi_ratio - pi_target) <= DEFAULT_TOL
+              and abs(rep.u_ratio - u_target) <= DEFAULT_TOL)
         all_pass &= ok
         rows.append([json.dumps(F.to_spec(), sort_keys=True),
                      f"{rep.S:.17g}", f"{rep.Pi:.17g}", f"{rep.U:.17g}",
                      f"{rep.pi_ratio:.17g}", f"{rep.u_ratio:.17g}",
                      "pass" if ok else "fail"])
     header = ["distribution", "S", "Pi", "U", "pi_ratio", "u_ratio", "status"]
-    if args.format == "json":
-        payload = [dict(zip(header, r)) for r in rows]
-        text = "\n".join(json.dumps(p, sort_keys=True) for p in payload) + "\n"
-        _emit(args, "guarantee.jsonl", text)
-    else:
-        path = _out_path(args.out, "guarantee.csv")
-        _write_csv(path, header, rows)
-        print(f"wrote {path}")
+    path = _out_path(args.out, "guarantee.csv")
+    _write_csv(path, header, rows)
+    print(f"wrote {path}")
     for r in rows:
         print(f"{r[0]}: Pi/S={r[4]} U/S={r[5]} [{r[6]}]")
     return EXIT_OK if all_pass else EXIT_CERT_FAIL
 
 
 def cmd_frontier(args):
-    eta = args.eta
-    if eta is None or eta <= 1.0:
-        raise ConfigError("--eta > 1 is required for 'frontier'")
+    eta = _in_range(args.eta, "--eta", 1.0, math.inf)
     n = args.grid
     if n < 1:
         raise ConfigError("--grid must be at least 1")
@@ -313,10 +317,13 @@ def cmd_verify(args):
     if scenario not in _VERIFY_SCENARIOS:
         raise ConfigError(
             f"scenario must be one of {_VERIFY_SCENARIOS}, got {scenario!r}")
-    tol = float(cfg.get("tol", DEFAULT_TOL))
+    tol = cfg.get("tol", DEFAULT_TOL)
+    if not (isinstance(tol, (int, float)) and 0.0 <= tol < math.inf):
+        raise ConfigError(f"'tol' must lie in [0, inf), got {tol!r}")
 
     if scenario in ("lower_bound", "holder"):
-        eta = float(_spec_field(cfg, "eta", f"{scenario!r} scenario"))
+        eta = _in_range(_spec_field(cfg, "eta", f"{scenario!r} scenario"),
+                        "'eta'", 1.0, math.inf)
         battery = _battery_from_config(cfg, eta)
         certs = (verify_lower_bound(eta, battery, tol=tol)
                  if scenario == "lower_bound"
@@ -356,10 +363,10 @@ def cmd_oracle(args):
         raise ConfigError("'oracle' requires --config")
     cfg = _load_config(args.config,
                        {"values", "masses", "eta", "quality_grid", "mode",
-                        "n_types", "distribution", "tol"})
-    cost = IsoElasticCost(eta=float(cfg.get("eta", 2.0)))
+                        "n_types", "distribution"})
+    cost = IsoElasticCost(eta=_in_range(cfg.get("eta", 2.0), "'eta'", 1.0,
+                                        math.inf))
     mode = cfg.get("mode", "exhaustive")
-    tol = float(cfg.get("tol", 0.02))
 
     # one atomic law feeds both the dynamic program and the Bayes menu
     if "distribution" in cfg:
@@ -386,7 +393,7 @@ def cmd_oracle(args):
         "relative_gap": gap,
         "mode": mode,
         "allocation": list(oracle.allocation),
-        "pass": gap <= tol,
+        "pass": gap <= ORACLE_PASS_GAP,
     }
     _emit(args, "oracle.json", json.dumps(report, sort_keys=True) + "\n")
     print(f"oracle profit {oracle.profit:.12g}, screening profit {Pi:.12g}, "
@@ -399,18 +406,14 @@ def cmd_oracle(args):
 def cmd_procure(args):
     side = args.side
     if side == "quality":
-        eta = args.eta
-        if eta is None or eta <= 1.0:
-            raise ConfigError("procure quality requires --eta > 1")
+        eta = _in_range(args.eta, "--eta", 1.0, math.inf)
         price, share = procurement_quality(eta)
         theta_grid = np.geomspace(0.1, 10.0, 100)
         certs = verify_procurement_quality(eta, theta_grid)
         rows = [["quality", f"{eta:.17g}", f"{price:.17g}", f"{share:.17g}"]]
         header = ["side", "eta", "unit_price", "surplus_share"]
     elif side == "quantity":
-        eta = args.eta
-        if eta is None or eta >= -1.0:
-            raise ConfigError("procure quantity requires --eta < -1")
+        eta = _in_range(args.eta, "--eta", -math.inf, -1.0)
         z, share = procurement_quantity(eta)
         theta_grid = np.geomspace(1.1, 10.0, 100)
         certs = verify_procurement_quantity(eta, theta_grid)
@@ -430,9 +433,7 @@ def cmd_sweep(args):
     if not args.config:
         raise ConfigError("'sweep' requires --config")
     cfg = _load_config(args.config, {"eta", "battery", "mechanism"})
-    eta = float(cfg.get("eta", 2.0))
-    if eta <= 1.0:
-        raise ConfigError("sweep requires eta > 1")
+    eta = _in_range(cfg.get("eta", 2.0), "'eta'", 1.0, math.inf)
     battery = _battery_from_config(cfg, eta)
     if not battery:
         print("usage: empty battery in sweep config", file=sys.stderr)
@@ -484,7 +485,6 @@ _SHARED_FLAGS = {
                   help="cost (or demand) elasticity"),
     "--config": dict(type=str, default=None, help="JSON scenario config"),
     "--out": dict(type=str, default=None, help="output directory"),
-    "--tol": dict(type=float, default=1e-6, help="certificate tolerance"),
 }
 
 
@@ -505,9 +505,7 @@ def build_parser():
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = command("guarantee", cmd_guarantee, "--eta", "--config", "--out",
-                 "--tol")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    command("guarantee", cmd_guarantee, "--eta", "--config", "--out")
     sp = command("frontier", cmd_frontier, "--eta", "--out")
     sp.add_argument("--grid", type=int, default=50,
                     help="number of frontier points")

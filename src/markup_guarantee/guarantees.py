@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 from typing import Iterable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .functionals import full_report, quantity_surplus_report
-from .mechanisms import constant_markup_mechanism, uniform_price_mechanism
+from .mechanisms import constant_markup_mechanism
 from .screening import bayes_optimal_mechanism
 from .technology import IsoElasticCost
 
@@ -59,6 +60,16 @@ class GuaranteeCertificate:
     bound_value: float
     measured_value: float
     tolerance: float
+
+    def __post_init__(self):
+        # a NaN would neither pass nor fail: the measurement broke
+        if not (math.isfinite(self.bound_value)
+                and math.isfinite(self.measured_value)):
+            raise ArithmeticError(
+                f"{self.claim_id} "
+                f"{json.dumps(self.parameters, sort_keys=True)}: measured "
+                f"{float(self.measured_value)!r} vs bound "
+                f"{float(self.bound_value)!r} is not finite")
 
     @property
     def slack(self):
@@ -241,15 +252,22 @@ def holder_audit(F: ValueDistribution, eta: float,
         tolerance=tol)
 
 
-def convex_cost_guarantee(eta_bar: float) -> float:
-    """Constant-markup profit share for convex costs: 1/(eta_bar + 2 sqrt(eta_bar - 1)).
+def convex_cost_guarantee(eta_bar: float) -> tuple:
+    """Seller's robust offer for convex costs with elasticity bound eta_bar:
+    markup multiplier z = 1/(sqrt(eta_bar - 1) + 1), guaranteed profit share
+    1/(eta_bar + 2 sqrt(eta_bar - 1)).
 
-    Weaker than the iso-elastic guarantee at the same bound; the two agree
-    only at eta_bar = 2.
+    The share is derived for eta_bar >= 2; below 2 it warns.  It is weaker
+    than the iso-elastic guarantee at the same bound; the two agree only at
+    eta_bar = 2.
     """
     if eta_bar <= 1.0:
         raise ValueError("elasticity bound must exceed 1")
-    return 1.0 / (eta_bar + 2.0 * math.sqrt(eta_bar - 1.0))
+    if eta_bar < 2.0:
+        warnings.warn("constant-markup guarantee is derived for "
+                      "eta_bar >= 2", stacklevel=2)
+    root = math.sqrt(eta_bar - 1.0)
+    return 1.0 / (root + 1.0), 1.0 / (eta_bar + 2.0 * root)
 
 
 def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
@@ -261,14 +279,14 @@ def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
     if marginal_at_zero > 0.0:
         raise ValueError(f"the convex-cost guarantee needs c'(0) = 0; this "
                          f"cost has c'(0) = {marginal_at_zero!r}")
-    bound = convex_cost_guarantee(cost.eta_bar)
-    markup = constant_markup_mechanism(cost)
+    z, bound = convex_cost_guarantee(cost.eta_bar)
+    menu = constant_markup_mechanism(cost, z)
     certs = []
     for F in distributions:
-        rep = full_report(F, markup.mechanism, cost)
+        rep = full_report(F, menu, cost)
         certs.append(GuaranteeCertificate(
             claim_id="convex_cost_guarantee",
-            parameters={"eta_bar": cost.eta_bar, "z": markup.z,
+            parameters={"eta_bar": cost.eta_bar, "z": z,
                         "distribution": F.to_spec()},
             bound_value=bound,
             measured_value=rep.pi_ratio,
@@ -276,11 +294,14 @@ def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
     return certs
 
 
-def quantity_guarantee(eta_bar: float) -> float:
-    """Uniform-price profit share with demand elasticity bound: (eta/(eta+1))^eta."""
+def quantity_guarantee(eta_bar: float) -> tuple:
+    """Seller's robust offer with demand elasticity bound eta_bar < -1 and
+    unit cost 1: uniform price p* = eta_bar/(eta_bar + 1), guaranteed profit
+    share (p*)^eta_bar."""
     if eta_bar >= -1.0:
         raise ValueError("demand elasticity bound must be below -1")
-    return (eta_bar / (eta_bar + 1.0)) ** eta_bar
+    p_star = eta_bar / (eta_bar + 1.0)
+    return p_star, p_star ** eta_bar
 
 
 def verify_quantity_guarantee(model, distributions, tol: float = DEFAULT_TOL):
@@ -291,8 +312,7 @@ def verify_quantity_guarantee(model, distributions, tol: float = DEFAULT_TOL):
     aggregate.
     """
     eta_bar = model.eta_bar
-    bound = quantity_guarantee(eta_bar)
-    p_star = uniform_price_mechanism(eta_bar).p_star
+    p_star, bound = quantity_guarantee(eta_bar)
     if hasattr(model, "check_band"):
         model.check_band(v_grid=np.geomspace(0.5, 8.0, 7))
     certs = []
@@ -310,12 +330,15 @@ def verify_quantity_guarantee(model, distributions, tol: float = DEFAULT_TOL):
 
 def procurement_quality(eta: float) -> tuple:
     """Buyer's robust offer for quality procurement: unit price 1/eta,
-    guaranteed surplus share (1/eta)^{1/(eta-1)}."""
-    if eta <= 1.0:
-        raise ValueError("cost elasticity must exceed 1")
-    return 1.0 / eta, (1.0 / eta) ** (1.0 / (eta - 1.0))
+    guaranteed surplus share eta^{-1/(eta-1)}, the consumer share of the
+    selling side's guarantee menu."""
+    share = consumer_share(eta)
+    return 1.0 / eta, share
 
 
+# an overflow in the procurement verifiers shows as a non-finite share,
+# which the certificate rejects
+@np.errstate(over="ignore", invalid="ignore")
 def verify_procurement_quality(eta: float, theta_grid):
     """Simulate the seller's best response and certify the pointwise share."""
     price, share = procurement_quality(eta)
@@ -343,6 +366,7 @@ def procurement_quantity(eta: float) -> tuple:
     return z, share
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_procurement_quantity(eta: float, theta_grid):
     """Seller picks q with theta = p(q); certify the buyer's surplus share."""
     z, share = procurement_quantity(eta)

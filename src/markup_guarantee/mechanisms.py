@@ -1,16 +1,16 @@
-"""Selling mechanisms: direct menus and markup rules.
+"""Selling mechanisms: direct menus and the constant-markup rule.
 
 A direct mechanism is a pair of evaluators (Q, T) over buyer values, with Q
 nondecreasing.  The iso-elastic constant-markup menu, the guarantee menu
 among them, states its envelope transfer c(Q)/z in closed form.  The
 root-solved markup menu and the Bayes-optimal menus of screening.py state no
 T; their transfers come from T(v) = v Q(v) - int_0^v Q(s) ds by quadrature.
-Either way the menu is incentive compatible.
+Either way the menu is incentive compatible.  The markups and prices the
+guarantees certify, with their shares, are closed forms in guarantees.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,12 +21,9 @@ from .technology import IsoElasticCost
 
 __all__ = [
     "DirectMechanism",
-    "MarkupMechanism",
-    "UniformPriceMechanism",
     "guarantee_mechanism",
     "envelope_transfer",
     "constant_markup_mechanism",
-    "uniform_price_mechanism",
     "ic_audit",
 ]
 
@@ -59,37 +56,13 @@ class DirectMechanism:
         return np.asarray(v, dtype=float) * np.asarray(self.Q(v)) - np.asarray(self.transfer(v))
 
 
-@dataclass(frozen=True)
-class MarkupMechanism:
-    """Allocation rule c'(q(v)) = z v wrapped as a direct mechanism."""
-
-    z: float
-    mechanism: DirectMechanism
-
-    def __post_init__(self):
-        if not (0.0 < self.z < 1.0):
-            raise ValueError("markup multiplier z must lie in (0,1)")
-
-
-@dataclass(frozen=True)
-class UniformPriceMechanism:
-    """Constant per-unit price; marginal cost normalized to 1."""
-
-    p_star: float
-
-    def __post_init__(self):
-        if self.p_star <= 1.0:
-            raise ValueError("uniform price must exceed the unit cost")
-
-
 def guarantee_mechanism(eta: float) -> DirectMechanism:
     """The distribution-free profit-guarantee menu: the constant-markup menu
     of the iso-elastic cost c(q) = q^eta/eta at z = 1/eta.
 
     Q(v) = (v/eta)^{1/(eta-1)} and T(v) = c(Q(v))/z = (v/eta)^{eta/(eta-1)}.
     """
-    markup = constant_markup_mechanism(IsoElasticCost(eta), z=1.0 / eta)
-    return markup.mechanism
+    return constant_markup_mechanism(IsoElasticCost(eta), 1.0 / eta)
 
 
 def envelope_transfer(Q, v, breakpoints):
@@ -102,21 +75,15 @@ def envelope_transfer(Q, v, breakpoints):
     return v * float(np.asarray(Q(v))) - integral
 
 
-def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
-    """Allocate q(v) with c'(q(v)) = z v, z = 1/(sqrt(eta_bar - 1) + 1).
+def constant_markup_mechanism(cost, z) -> DirectMechanism:
+    """Allocate q(v) with c'(q(v)) = z v, for a markup multiplier z in (0, 1).
 
-    The default z certifies a bound derived for eta_bar >= 2; below 2 it
-    warns.  Substituting s = c'(q)/z in the envelope identity gives
+    Substituting s = c'(q)/z in the envelope identity gives
     T(v) = c(Q(v))/z, which the iso-elastic menu states in closed form,
     (z v)^r/(eta z) with r = eta/(eta-1).
     """
-    eta_bar = cost.eta_bar
-    if z is None:
-        z = 1.0 / (math.sqrt(eta_bar - 1.0) + 1.0)
-        if eta_bar < 2.0:
-            import warnings
-            warnings.warn("constant-markup guarantee is derived for "
-                          "eta_bar >= 2", stacklevel=2)
+    if not 0.0 < z < 1.0:
+        raise ValueError("markup multiplier z must lie in (0,1)")
 
     def Q(v):
         return cost.efficient_quality(
@@ -130,14 +97,7 @@ def constant_markup_mechanism(cost, z=None) -> MarkupMechanism:
             zv = z * np.maximum(np.asarray(v, dtype=float), 0.0)
             return zv ** (p + 1.0) / (cost.eta * z)
 
-    return MarkupMechanism(z=z, mechanism=DirectMechanism(Q=Q, T=T))
-
-
-def uniform_price_mechanism(eta_bar: float) -> UniformPriceMechanism:
-    """Quantity-discrimination guarantee price p* = eta_bar/(eta_bar + 1)."""
-    if eta_bar >= -1.0:
-        raise ValueError("demand elasticity bound must be below -1")
-    return UniformPriceMechanism(p_star=eta_bar / (eta_bar + 1.0))
+    return DirectMechanism(Q=Q, T=T)
 
 
 @dataclass(frozen=True)
@@ -145,10 +105,6 @@ class ICAuditReport:
     max_ic_violation: float
     max_ir_violation: float
     worst_pair: tuple
-
-    @property
-    def passed(self):
-        return max(self.max_ic_violation, self.max_ir_violation) <= 1e-9
 
 
 def ic_audit(M: DirectMechanism, grid: Sequence[float]) -> ICAuditReport:

@@ -284,13 +284,14 @@ def test_criterion_08_eta2_boundary():
 
 def test_criterion_09_convex_cost_guarantee():
     cost = mg.PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
-    mk = mg.constant_markup_mechanism(cost)
-    assert mk.z == pytest.approx(1.0 / (math.sqrt(3.0) + 1.0))
+    z, _ = mg.convex_cost_guarantee(cost.eta_bar)
+    assert z == pytest.approx(1.0 / (math.sqrt(3.0) + 1.0))
+    M = mg.constant_markup_mechanism(cost, z)
     bound = 1.0 / (4.0 + 2.0 * math.sqrt(3.0))
     worst = math.inf
     for F in _battery(2.0):
         S, _ = mg.efficient_surplus(F, cost)
-        Pi, _ = mg.mechanism_profit(F, mk.mechanism, cost)
+        Pi, _ = mg.mechanism_profit(F, M, cost)
         worst = min(worst, Pi / S - bound)
     assert _verdict("criterion 9: convex-cost guarantee", worst >= -1e-6,
                     f"min slack {worst:.2e}")
@@ -298,7 +299,7 @@ def test_criterion_09_convex_cost_guarantee():
 
 def test_criterion_10_quantity_discrimination():
     model = mg.SeparableQuantityUtility(eta=-2.0)
-    p_star = mg.uniform_price_mechanism(-2.0).p_star
+    p_star, _ = mg.quantity_guarantee(-2.0)
     assert p_star == 2.0
     worst = 0.0
     battery = [mg.Uniform(0.5, 2.0), mg.Binary(1.0, 2.0, 0.3),

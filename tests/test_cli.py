@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -405,9 +406,73 @@ def test_missing_spec_field_is_config_error(tmp_path, capsys, argv, cfg,
     assert "config error" in err and repr(field) in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["frontier", "--eta", "inf"], "--eta"),
+    (["frontier", "--eta", "nan"], "--eta"),
+    (["guarantee", "--eta", "inf"], "--eta"),
+    (["procure", "--side", "quality", "--eta", "nan"], "--eta"),
+    (["procure", "--side", "quantity", "--eta=-inf"], "--eta"),
+], ids=["frontier-inf", "frontier-nan", "guarantee-inf", "procure-quality-nan",
+        "procure-quantity-minus-inf"])
+def test_non_finite_eta_flag_is_config_error(tmp_path, capsys, argv, name):
+    # NaN fails no `eta <= 1` comparison, so the range check must reject it
+    # itself
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must lie in")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, cfg, name", [
+    (["verify"], {"scenario": "lower_bound", "eta": 2.0, "tol": math.nan},
+     "'tol'"),
+    (["verify"], {"scenario": "lower_bound", "eta": 2.0, "tol": -1.0},
+     "'tol'"),
+    (["verify"], {"scenario": "holder", "eta": math.inf}, "'eta'"),
+    (["sweep"], {"eta": math.inf, "mechanism": "guarantee",
+                 "battery": [{"kind": "uniform", "a": 0.0, "b": 1.0}]},
+     "'eta'"),
+    (["oracle"], {"eta": math.nan, "values": [1.0, 2.0],
+                  "masses": [0.5, 0.5]}, "'eta'"),
+    (["verify"], {"scenario": "lower_bound", "eta": 2.0, "tol": [1e-6]},
+     "'tol'"),
+    (["sweep"], {"eta": [2.0]}, "'eta'"),
+], ids=["verify-tol-nan", "verify-tol-negative", "holder-eta-inf",
+        "sweep-eta-inf", "oracle-eta-nan", "verify-tol-list", "sweep-eta-list"])
+def test_bad_config_number_is_config_error(tmp_path, capsys, argv, cfg, name):
+    # a NaN or negative tolerance would fail every certificate of a
+    # passing battery, and a list is no number
+    path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
+    out = tmp_path / "out"
+    assert run([*argv, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name} must")
+    assert not out.exists()
+
+
+def test_oracle_pass_gap_is_not_a_config_field(tmp_path, capsys):
+    path = write_cfg(tmp_path, "o.json", {
+        "version": 1, "values": [1.0, 2.0], "masses": [0.5, 0.5],
+        "tol": 0.5})
+    assert run(["oracle", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "unknown config fields: ['tol']" in capsys.readouterr().err
+
+
+def test_non_finite_certificate_is_one_numerical_failure(tmp_path, capsys):
+    # at eta = 1.001, q = (p/theta)^(1/(eta-1)) overflows at theta = 0.1 and
+    # the measured share is NaN, which neither passes nor fails
+    assert run(["procure", "--side", "quality", "--eta", "1.001",
+                "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: procurement_quality")
+    assert err.endswith("measured nan vs bound 0.36806330428877704 is not "
+                        "finite\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "certificates.jsonl").exists()
+
+
 # the flags each subcommand reads, and so accepts
 _FLAGS = {
-    "guarantee": {"--eta", "--config", "--out", "--tol", "--format"},
+    "guarantee": {"--eta", "--config", "--out"},
     "frontier": {"--eta", "--out", "--grid"},
     "boundary": {"--out", "--grid"},
     "verify": {"--config", "--out"},

@@ -232,16 +232,21 @@ class TestHolder:
 
 class TestConvexCost:
     def test_closed_form(self):
-        assert convex_cost_guarantee(2.0) == pytest.approx(0.25)
+        assert convex_cost_guarantee(2.0) == pytest.approx((0.5, 0.25))
         assert convex_cost_guarantee(4.0) == pytest.approx(
-            1.0 / (4.0 + 2.0 * math.sqrt(3.0)))
+            (1.0 / (math.sqrt(3.0) + 1.0), 1.0 / (4.0 + 2.0 * math.sqrt(3.0))))
         with pytest.raises(ValueError):
             convex_cost_guarantee(1.0)
 
+    def test_warns_below_two(self):
+        with pytest.warns(UserWarning, match="derived for eta_bar >= 2"):
+            convex_cost_guarantee(1.5)
+
     def test_weaker_than_iso_elastic_away_from_two(self):
         for eta in (3.0, 4.0, 8.0):
-            assert convex_cost_guarantee(eta) < guarantee_ratio(eta)
-        assert convex_cost_guarantee(2.0) == pytest.approx(guarantee_ratio(2.0))
+            assert convex_cost_guarantee(eta)[1] < guarantee_ratio(eta)
+        assert convex_cost_guarantee(2.0)[1] == pytest.approx(
+            guarantee_ratio(2.0))
 
     def test_verifier(self):
         cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
@@ -265,9 +270,11 @@ class TestConvexCost:
 
 class TestQuantityAndProcurement:
     def test_quantity_guarantee_closed_form(self):
-        assert quantity_guarantee(-2.0) == pytest.approx(0.25)
+        assert quantity_guarantee(-2.0) == pytest.approx((2.0, 0.25))
         with pytest.raises(ValueError):
             quantity_guarantee(-0.5)
+        with pytest.raises(ValueError):
+            quantity_guarantee(-1.0)
 
     def test_procurement_quality_closed_form(self):
         price, share = procurement_quality(2.0)
@@ -312,6 +319,18 @@ def test_certificate_serialization():
     payload = json.loads(cert.to_json())
     assert payload["pass"] is True
     assert payload["slack"] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("bound, measured", [
+    (0.5, math.nan), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
+def test_certificate_on_a_non_finite_value_raises(bound, measured):
+    # a NaN slack would fail every comparison: the certificate neither
+    # passes nor fails, it raises
+    with pytest.raises(ArithmeticError, match="is not finite"):
+        GuaranteeCertificate(claim_id="x", parameters={"eta": 2.0},
+                             bound_value=bound,
+                             measured_value=np.float64(measured),
+                             tolerance=1e-6)
 
 
 @given(st.floats(min_value=1.05, max_value=20.0))

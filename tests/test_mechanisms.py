@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markup_guarantee.mechanisms import (DirectMechanism, MarkupMechanism,
-                                         UniformPriceMechanism,
+from markup_guarantee.guarantees import (convex_cost_guarantee,
+                                         quantity_guarantee)
+from markup_guarantee.mechanisms import (DirectMechanism,
                                          constant_markup_mechanism,
                                          envelope_transfer,
-                                         guarantee_mechanism, ic_audit,
-                                         uniform_price_mechanism)
+                                         guarantee_mechanism, ic_audit)
 from markup_guarantee.technology import IsoElasticCost, PolynomialCost
 
 
@@ -43,8 +43,8 @@ def test_guarantee_markup_is_constant():
 def test_ic_audit_on_guarantee_menu():
     M = guarantee_mechanism(2.0)
     report = ic_audit(M, np.linspace(0.0, 5.0, 200))
-    assert report.passed
     assert report.max_ic_violation <= 1e-12
+    assert report.max_ir_violation <= 1e-9
 
 
 def test_ic_audit_flags_broken_menu():
@@ -52,7 +52,6 @@ def test_ic_audit_flags_broken_menu():
     bad = DirectMechanism(Q=lambda v: np.asarray(v, dtype=float),
                           T=lambda v: np.zeros_like(np.asarray(v, dtype=float)))
     report = ic_audit(bad, np.linspace(0.0, 2.0, 50))
-    assert not report.passed
     assert report.max_ic_violation > 0.1
 
 
@@ -64,33 +63,28 @@ def test_ic_audit_grid_cap():
 
 def test_constant_markup_iso_elastic_fast_path():
     cost = IsoElasticCost(eta=2.0)
-    mk = constant_markup_mechanism(cost)
-    assert mk.z == pytest.approx(0.5)
+    z, _ = convex_cost_guarantee(cost.eta_bar)
+    assert z == pytest.approx(0.5)
     # allocation solves c'(q) = z v
-    assert float(np.asarray(mk.mechanism.Q(4.0))) == pytest.approx(2.0)
+    M = constant_markup_mechanism(cost, z)
+    assert float(np.asarray(M.Q(4.0))) == pytest.approx(2.0)
 
 
 def test_constant_markup_general_cost():
     cost = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
-    mk = constant_markup_mechanism(cost)
-    assert mk.z == pytest.approx(1.0 / (math.sqrt(3.0) + 1.0))
+    z, _ = convex_cost_guarantee(cost.eta_bar)
+    assert z == pytest.approx(1.0 / (math.sqrt(3.0) + 1.0))
     v = 3.0
-    q = float(np.asarray(mk.mechanism.Q(v)))
-    assert float(cost.c_prime(q)) == pytest.approx(mk.z * v, rel=1e-9)
-
-
-def test_constant_markup_warns_below_two():
-    cost = IsoElasticCost(eta=1.5)
-    with pytest.warns(UserWarning):
-        constant_markup_mechanism(cost)
+    q = float(np.asarray(constant_markup_mechanism(cost, z).Q(v)))
+    assert float(cost.c_prime(q)) == pytest.approx(z * v, rel=1e-9)
 
 
 @pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
 def test_guarantee_menu_is_the_constant_markup_menu(eta):
     cost = IsoElasticCost(eta=eta)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")      # an explicit z does not warn
-        M = constant_markup_mechanism(cost, z=1.0 / eta).mechanism
+        warnings.simplefilter("error")      # building a menu does not warn
+        M = constant_markup_mechanism(cost, 1.0 / eta)
     v = np.array([0.0, 0.3, 1.0, 5.0])
     # Q = (v/eta)^{1/(eta-1)} and T = c(Q)/z = (v/eta)^{eta/(eta-1)}
     for menu in (M, guarantee_mechanism(eta)):
@@ -101,27 +95,33 @@ def test_guarantee_menu_is_the_constant_markup_menu(eta):
 
 
 def test_iso_elastic_markup_states_the_envelope_transfer():
-    mk = constant_markup_mechanism(IsoElasticCost(eta=3.0))
+    cost = IsoElasticCost(eta=3.0)
+    M = constant_markup_mechanism(cost, convex_cost_guarantee(3.0)[0])
     for v in (0.5, 1.0, 2.0):
-        assert float(mk.mechanism.T(v)) == pytest.approx(
-            envelope_transfer(mk.mechanism.Q, v, ()), rel=1e-9)
+        assert float(M.T(v)) == pytest.approx(
+            envelope_transfer(M.Q, v, ()), rel=1e-9)
     general = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
-    assert constant_markup_mechanism(general).mechanism.T is None
+    z, _ = convex_cost_guarantee(general.eta_bar)
+    assert constant_markup_mechanism(general, z).T is None
 
 
 def test_uniform_price():
-    up = uniform_price_mechanism(-2.0)
-    assert up.p_star == pytest.approx(2.0)
+    # the quantity-model menu is one uniform price p*, the first half of
+    # quantity_guarantee's (p*, share)
+    p_star, _ = quantity_guarantee(-2.0)
+    assert p_star == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        uniform_price_mechanism(-0.5)
-    with pytest.raises(ValueError):
-        UniformPriceMechanism(p_star=0.9)
+        quantity_guarantee(-0.5)
+    # the uniform price exceeds the unit cost at every bound below -1
+    for eta_bar in (-1.0 - 1e-9, -1.5, -3.0, -1e6):
+        assert quantity_guarantee(eta_bar)[0] > 1.0
 
 
 def test_markup_multiplier_validated():
-    M = guarantee_mechanism(2.0)
-    with pytest.raises(ValueError):
-        MarkupMechanism(z=1.5, mechanism=M)
+    cost = IsoElasticCost(eta=2.0)
+    for z in (1.5, 1.0, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \(0,1\)"):
+            constant_markup_mechanism(cost, z)
 
 
 @given(st.floats(min_value=1.2, max_value=6.0))

@@ -188,7 +188,7 @@ def _cli_flags():
 def test_settable_value_count():
     # each settable value doubles the configurations to cover: a change
     # that adds or removes one updates this pin and the ROADMAP's count
-    assert (_library_values(), _cli_flags()) == (18, 20)
+    assert (_library_values(), _cli_flags()) == (17, 18)
 
 
 def test_tracer_targets_exist():

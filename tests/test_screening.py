@@ -21,7 +21,7 @@ from markup_guarantee.distributions import (Binary, Discrete, Mixture, Pareto,
 from markup_guarantee.cli import _default_battery
 from markup_guarantee.functionals import (InfiniteSurplusError, full_report,
                                           mechanism_profit)
-from markup_guarantee.guarantees import boundary
+from markup_guarantee.guarantees import boundary, convex_cost_guarantee
 from markup_guarantee.mechanisms import constant_markup_mechanism, ic_audit
 from markup_guarantee.screening import (AtomError, bayes_optimal_mechanism,
                                         discrete_oracle, discretize, iron,
@@ -475,7 +475,8 @@ class TestBayesOptimal:
         cost = IsoElasticCost(eta=2.0)
         M = bayes_optimal_mechanism(F, cost)
         report = ic_audit(M, np.array(F.values))
-        assert report.passed
+        assert report.max_ic_violation <= 1e-9
+        assert report.max_ir_violation <= 1e-9
 
 
 _QUARTIC = PolynomialCost(coeffs=[0.0, 0.0, 0.5, 0.0, 0.25], eta_bar=4.0)
@@ -504,9 +505,12 @@ class TestBayesUnderConvexCost:
         # and meets c'(Q) = max(phi_bar, 0) above the exclusion cutoff
         M = bayes_optimal_mechanism(F, _QUARTIC)
         grid = np.linspace(*F.support, 40)
-        assert ic_audit(M, grid).passed
+        audit = ic_audit(M, grid)
+        assert audit.max_ic_violation <= 1e-9
+        assert audit.max_ir_violation <= 1e-9
         bayes = full_report(F, M, _QUARTIC)
-        markup = full_report(F, constant_markup_mechanism(_QUARTIC).mechanism,
+        z, _ = convex_cost_guarantee(_QUARTIC.eta_bar)
+        markup = full_report(F, constant_markup_mechanism(_QUARTIC, z),
                              _QUARTIC)
         assert bayes.Pi >= markup.Pi - bayes.err_Pi - markup.err_Pi
         curve = iron(F)

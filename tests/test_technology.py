@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import markup_guarantee.technology as tech
+from markup_guarantee.guarantees import convex_cost_guarantee
 from markup_guarantee.mechanisms import constant_markup_mechanism
 from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
                                          NonlinearDemandModel, PolynomialCost,
@@ -147,7 +148,8 @@ class TestMonotoneRoot:
     def test_nonpositive_values_get_zero_quality(self):
         cost = self.COST
         v = np.array([-2.0, 0.0, 1.5, -0.0, 3.0])
-        Q = constant_markup_mechanism(cost).mechanism.Q
+        z, _ = convex_cost_guarantee(cost.eta_bar)
+        Q = constant_markup_mechanism(cost, z).Q
         for q in (cost.efficient_quality(v), Q(v)):
             assert np.all(q[[0, 1, 3]] == 0.0)
             assert np.all(q[[2, 4]] > 0.0)
@@ -168,7 +170,8 @@ class TestMonotoneRoot:
         monkeypatch.setattr(tech, "_monotone_root", counting_root)
         v = np.linspace(-1.0, 4.0, 50)
         self.COST.efficient_quality(v)
-        constant_markup_mechanism(self.COST).mechanism.Q(v)
+        z, _ = convex_cost_guarantee(self.COST.eta_bar)
+        constant_markup_mechanism(self.COST, z).Q(v)
         assert calls == [40, 40]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -311,8 +312,8 @@ def cmd_verify(args):
     if not args.config:
         raise ConfigError("'verify' requires --config")
     cfg = _load_config(args.config,
-                       {"scenario", "eta", "eta_bar", "battery", "cost",
-                        "model", "tol"})
+                       {"scenario", "eta", "battery", "cost", "model",
+                        "tol"})
     scenario = cfg.get("scenario")
     if scenario not in _VERIFY_SCENARIOS:
         raise ConfigError(
@@ -488,7 +489,11 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process on its first call
+    and shared by every later `main` call: parsing returns a fresh
+    namespace and leaves the parser as it was."""
     p = argparse.ArgumentParser(
         prog="markup-guarantee",
         description="Robust nonlinear pricing: guarantees, frontiers, "

@@ -104,7 +104,6 @@ def constant_markup_mechanism(cost, z) -> DirectMechanism:
 class ICAuditReport:
     max_ic_violation: float
     max_ir_violation: float
-    worst_pair: tuple
 
 
 def ic_audit(M: DirectMechanism, grid: Sequence[float]) -> ICAuditReport:
@@ -121,10 +120,8 @@ def ic_audit(M: DirectMechanism, grid: Sequence[float]) -> ICAuditReport:
     utility = grid * Qv - Tv                     # truthful payoff per type
     deviate = grid[:, None] * Qv[None, :] - Tv[None, :]
     gaps = deviate - utility[:, None]
-    i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
     return ICAuditReport(
         max_ic_violation=float(max(gaps.max(), 0.0)),
         max_ir_violation=float(max((-utility).max(), 0.0)),
-        worst_pair=(float(grid[i]), float(grid[j])),
     )
 

@@ -3,18 +3,22 @@
 Every integral in this package goes through `adaptive_quad`.  Callers name
 the values where the integrand is not smooth (density jumps, atoms, kinks
 of a menu) as `points`, and each piece between them is refined on its own,
-so no piece is starved by a wider one.  A panel costs one integrand call on
-the 21 nodes of the 10/21 Gauss-Kronrod pair: the Kronrod sum is the
-estimate and its distance from the 10-point Gauss sum on the same values
-is the error.  An infinite upper limit folds the tail beyond the last point
-to a finite panel with the substitution u = 1/v, which turns Pareto-type
-tails into (at worst) mild endpoint power singularities that the open node
-set tolerates.  So a piece can be singular only at its ends: panels that
-miss their share of the tolerance are bisected, and one that touches an end
-of its piece is also cut geometrically toward that end, the graded
-subdivision that converges on endpoint singularities (Davis & Rabinowitz,
-1984).  Breakpoints and the infinite limit are arguments of the integrator,
-as in QUADPACK's qagp and qagi (Piessens et al., 1983).  An integrand may
+so no piece is starved by a wider one.  A panel costs the integrand's
+values on the 21 nodes of the 10/21 Gauss-Kronrod pair: the Kronrod sum is
+the estimate and its distance from the 10-point Gauss sum on the same
+values is the error.  An infinite upper limit folds the tail beyond the
+last point to a finite panel with the substitution u = 1/v, which turns
+Pareto-type tails into (at worst) mild endpoint power singularities that
+the open node set tolerates.  The seed panels of all pieces, the tail
+fold's included, share one integrand call: the breakpoints split pieces
+but need not serialise their first evaluation.  A piece that fails there
+is refined in its own rounds, one call a round, and can be singular only
+at its ends: panels that miss their share of the tolerance are bisected,
+and one that touches an end of its piece is also cut geometrically toward
+that end, the graded subdivision that converges on endpoint singularities
+(Davis & Rabinowitz, 1984).  Breakpoints and the infinite limit are
+arguments of the integrator, as in QUADPACK's qagp and qagi (Piessens et
+al., 1983).  An integrand may
 return a (k, n) stack of k integrands on n points; the rows share every
 panel, piece and tail fold, each row is held to its own tolerance, and a
 panel is accepted only when every row fits its share, as in DCUHRE's vector
@@ -117,23 +121,32 @@ class QuadResult(tuple):
         return self[1]
 
 
-def _panels(f, lo, hi):
+def _panels(f, lo, hi, folded):
     """Evaluate the 10/21 Gauss-Kronrod pair on a batch of panels.
 
     lo, hi: 1-d arrays of panel endpoints.  One call of f on the 21 nodes
     of every panel; returns the Kronrod estimates and |K21 - G10|, one per
-    panel, or (panels, k) of them when f returns a (k, n) stack.
+    panel, or (panels, k) of them when f returns a (k, n) stack.  The last
+    `folded` panels lie in u = 1/v of a tail fold: f is called at 1/u there
+    and its values are divided by u^2, since
+    int_lo^inf f(v) dv = int_0^{1/lo} f(1/u) / u^2 du.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
-    v = np.asarray(f(x.ravel()), dtype=float)
+    x = (mid[:, None] + half[:, None] * _NODES).ravel()
+    if folded:
+        cut = x.size - folded * len(_NODES)
+        u = x[cut:]
+        v = np.asarray(f(np.concatenate([x[:cut], 1.0 / u])), dtype=float)
+        v = np.concatenate([v[..., :cut], v[..., cut:] / (u * u)], axis=-1)
+    else:
+        v = np.asarray(f(x), dtype=float)
     if v.ndim == 2:
         # one row per integrand: panels first, like the single case
-        v = v.reshape(len(v), *x.shape).transpose(1, 0, 2)
+        v = v.reshape(len(v), len(lo), len(_NODES)).transpose(1, 0, 2)
         half = half[:, None]
     else:
-        v = v.reshape(x.shape)
+        v = v.reshape(len(lo), len(_NODES))
     est_k = (v * _KRONROD_WEIGHTS).sum(axis=-1) * half
     est_g = (v * _GAUSS_WEIGHTS).sum(axis=-1) * half
     return est_k, np.abs(est_k - est_g)
@@ -151,9 +164,12 @@ def adaptive_quad(f, a, b, *, points=()):
     points in (a, b) is refined to the tolerance on its own, with its own
     budget of 1,000,000 integrand values.  b may be inf: the tail beyond
     the last point is folded by u = 1/v, so it must start at a positive
-    value.  A failing panel at an end of its piece is graded toward that
-    end, so an integrable singularity there, such as x^(-1/2) or the fold
-    of a Pareto tail, costs a few rounds of integrand calls.
+    value.  The seed panels of every piece, the tail fold's included, share
+    one integrand call; only the pieces they leave unconverged make more,
+    each in its own refinement.  A failing panel at an end of its piece is
+    graded toward that end, so an integrable singularity there, such as
+    x^(-1/2) or the fold of a Pareto tail, costs a few rounds of integrand
+    calls.
 
     Returns a QuadResult (value, error_estimate) summed over the pieces,
     with arrays of k values and errors for a stack (0.0 and 0.0 when
@@ -168,35 +184,50 @@ def adaptive_quad(f, a, b, *, points=()):
         raise ValueError("adaptive_quad needs a finite lower limit and a "
                          "finite or +inf upper limit")
     edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
-    if b == math.inf and edges[-2] <= 0:
-        raise ValueError("an infinite upper limit needs a positive start for "
-                         "its tail: a positive a or a positive point")
+    pieces = list(zip(edges, edges[1:]))
+    folded = b == math.inf
+    if folded:
+        if edges[-2] <= 0:
+            raise ValueError("an infinite upper limit needs a positive start "
+                             "for its tail: a positive a or a positive point")
+        # the tail [lo, inf) is integrated in u = 1/v over [0, 1/lo]
+        pieces[-1] = (0.0, 1.0 / edges[-2])
+    seeds = [_seed(lo, hi) for lo, hi in pieces]
+    est, err = _panels(f, np.concatenate([s[:-1] for s in seeds]),
+                       np.concatenate([s[1:] for s in seeds]),
+                       len(seeds[-1]) - 1 if folded else 0)
     value = 0.0
     error = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        g = f
-        if hi == math.inf:
-            # int_lo^inf f(v) dv = int_0^{1/lo} f(1/u) / u^2 du
-            g = lambda u: np.asarray(f(1.0 / u), dtype=float) / (u * u)
-            lo, hi = 0.0, 1.0 / lo
-        piece_value, piece_error = _adapt(g, lo, hi)
+    start = 0
+    for i, s in enumerate(seeds):
+        stop = start + len(s) - 1
+        piece_value, piece_error = _adapt(
+            f, s, est[start:stop], err[start:stop],
+            folded and i == len(seeds) - 1)
         value += piece_value
         error += piece_error
+        start = stop
     return QuadResult(value, error)
 
 
-def _adapt(f, a, b):
-    """Adaptive refinement of one piece [a, b], smooth inside (see
-    `_split`); returns (value, error), floats for one integrand and arrays
-    for a stack."""
+def _seed(a, b):
+    """The edges of the seed panels of a piece [a, b], a and b exactly at
+    its ends."""
     # geometric seeding keeps panel widths commensurate with position on
     # log-wide ranges (heavy-tail segments), where uniform bisection from a
     # single panel wastes most of its depth budget
     ratio = max(a, b) / min(a, b) if min(a, b) > 0 else np.inf
     if np.isfinite(ratio) and ratio > 50.0:
-        edges = np.geomspace(a, b, 2 + min(64, int(np.log2(ratio))))
-    else:
-        edges = np.array([a, b])
+        return np.geomspace(a, b, 2 + min(64, int(np.log2(ratio))))
+    return np.array([a, b])
+
+
+def _adapt(f, edges, est, err, folded):
+    """Adaptive refinement of one piece, smooth inside (see `_split`), from
+    the estimates and errors of its seed panels between `edges`; `folded`
+    says the piece is a tail fold (see `_panels`).  Returns (value, error),
+    floats for one integrand and arrays for a stack."""
+    a, b = edges[0], edges[-1]
     lo = edges[:-1]
     hi = edges[1:]
     done_value = 0.0
@@ -204,10 +235,9 @@ def _adapt(f, a, b):
     evals = 0
     width_total = abs(b - a)
 
-    while lo.size:
+    while True:
         evals += lo.size * len(_NODES)
         # est, err: one entry per panel, or (panels, k) for a stack
-        est, err = _panels(f, lo, hi)
         if not np.isfinite(est).all():
             raise QuadratureError("non-finite integrand values encountered")
         total = done_value + est.sum(axis=0)
@@ -228,7 +258,9 @@ def _adapt(f, a, b):
         done_value += est[ok].sum(axis=0)
         done_error += err[ok].sum(axis=0)
         lo, hi = lo[~ok], hi[~ok]
-        if lo.size and evals > _MAX_EVALS:
+        if not lo.size:
+            break
+        if evals > _MAX_EVALS:
             rem_v = est[~ok].sum(axis=0)
             rem_e = err[~ok].sum(axis=0)
             raise QuadratureError(
@@ -237,8 +269,8 @@ def _adapt(f, a, b):
                 value=done_value + rem_v,
                 error=done_error + rem_e,
             )
-        if lo.size:
-            lo, hi = _split(lo, hi, a, b)
+        lo, hi = _split(lo, hi, a, b)
+        est, err = _panels(f, lo, hi, lo.size if folded else 0)
     return done_value, done_error
 
 

@@ -420,7 +420,6 @@ def _adjacent_ic_transfers(values, q):
 class OracleResult:
     profit: float
     allocation: tuple
-    mode: str
     warnings: tuple = ()
 
 
@@ -445,7 +444,7 @@ def discrete_oracle(F: Discrete, cost, quality_grid=(),
         phi_bar = iron(F).phi_bar(values)
         q = cost.efficient_quality(np.maximum(phi_bar, 0.0))
         profit = float((masses * (phi_bar * q - np.asarray(cost.c(q)))).sum())
-        return OracleResult(profit=profit, allocation=tuple(q), mode="reduced")
+        return OracleResult(profit=profit, allocation=tuple(q))
 
     if mode != "exhaustive":
         raise ValueError("mode must be 'exhaustive' or 'reduced'")
@@ -478,7 +477,7 @@ def discrete_oracle(F: Discrete, cost, quality_grid=(),
         notes.append("optimum touches the top of the quality grid; the grid "
                      "may be too coarse")
     return OracleResult(profit=best_profit, allocation=tuple(best_alloc),
-                        mode="exhaustive", warnings=tuple(notes))
+                        warnings=tuple(notes))
 
 
 def discretize(F: ValueDistribution, n_types: int) -> Discrete:

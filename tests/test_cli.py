@@ -457,6 +457,49 @@ def test_oracle_pass_gap_is_not_a_config_field(tmp_path, capsys):
     assert "unknown config fields: ['tol']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["eta_bar", "zzz"])
+def test_verify_rejects_a_field_no_scenario_reads(tmp_path, capsys, field):
+    # the convex-cost bound is the cost spec's own eta_bar, and the
+    # quantity bound comes from the model spec
+    path = write_cfg(tmp_path, "v.json", {
+        "version": 1, "scenario": "lower_bound", "eta": 2.0,
+        field: "anything"})
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 2
+    assert (f"unknown config fields: [{field!r}]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _written(out_dir):
+    return {path.relative_to(out_dir): path.read_bytes()
+            for path in out_dir.rglob("*") if path.is_file()}
+
+
+def test_commands_in_a_row_write_what_each_writes_alone(tmp_path):
+    # main shares one parser between calls: a subcommand run after others
+    # writes the same files as with a parser of its own
+    sweep = write_cfg(tmp_path, "s.json", {
+        "version": 1, "eta": 2.0,
+        "battery": [{"kind": "uniform", "a": 0.0, "b": 1.0}]})
+    commands = [["sweep", "--config", sweep, "--format", "json"],
+                ["procure", "--side", "quality", "--eta", "2"],
+                ["frontier", "--eta", "3", "--grid", "4"]]
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        out = tmp_path / "alone" / argv[0]
+        alone.append((run([*argv, "--out", str(out)]), _written(out)))
+    parser = build_parser()
+    in_a_row = []
+    for argv in commands:
+        out = tmp_path / "in_a_row" / argv[0]
+        in_a_row.append((run([*argv, "--out", str(out)]), _written(out)))
+    assert build_parser() is parser
+    assert in_a_row == alone
+    assert all(code == 0 and files for code, files in alone)
+
+
 def test_non_finite_certificate_is_one_numerical_failure(tmp_path, capsys):
     # at eta = 1.001, q = (p/theta)^(1/(eta-1)) overflows at theta = 0.1 and
     # the measured share is NaN, which neither passes nor fails

@@ -5,6 +5,7 @@ tracer wraps still exists."""
 
 import argparse
 import ast
+import dataclasses
 import glob
 import importlib
 import os
@@ -98,13 +99,20 @@ def _attributes_read(root):
 
 
 def _public_members():
-    """(class, member name) for each public method and property that a
-    public class of a submodule defines itself."""
+    """(class, member name) for each public method, property and dataclass
+    field that a class a submodule defines under a public name defines
+    itself, exported or not (`ic_audit` returns an ICAuditReport)."""
     for name in SUBMODULES:
         module = importlib.import_module(f"markup_guarantee.{name}")
-        for cls in (getattr(module, n) for n in module.__all__):
-            if not isinstance(cls, type):
+        for cls_name, cls in vars(module).items():
+            if (not isinstance(cls, type) or cls_name.startswith("_")
+                    or cls.__module__ != module.__name__):
                 continue
+            if dataclasses.is_dataclass(cls):
+                own = vars(cls).get("__annotations__", {})
+                for field in dataclasses.fields(cls):
+                    if field.name in own and not field.name.startswith("_"):
+                        yield cls, field.name
             for member, obj in vars(cls).items():
                 if not member.startswith("_") and isinstance(
                         obj, (types.FunctionType, property, staticmethod,
@@ -155,6 +163,19 @@ def test_cli_import_leaves_scipy_unloaded():
          "import sys, markup_guarantee.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built on the first `main` call and kept: an import
+    # that only runs the library pays nothing for it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(mg.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import markup_guarantee.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "0"
 
 
 def _library_values():

@@ -140,7 +140,7 @@ def test_tail_requires_positive_start():
 
 def test_step_split_at_its_jump_is_exact():
     # a constant on each piece: both rules are exact on the first pass,
-    # one call on the 21 Kronrod nodes per piece
+    # one call on the 21 Kronrod nodes of both pieces
     seen = []
 
     def step(x):
@@ -151,7 +151,40 @@ def test_step_split_at_its_jump_is_exact():
     res = adaptive_quad(step, 0.0, 1.0, points=(1.0 / 3.0,))
     assert res.value == pytest.approx(5.0 / 3.0, abs=1e-15)
     assert res.error <= 1e-15
-    assert seen == [21, 21]
+    assert seen == [42]
+
+
+def _kinked(v):
+    # a kink at 1, a jump at 2, and a tail that folds to u^(-1/2) at u = 0
+    v = np.asarray(v, dtype=float)
+    return np.where(v < 2.0, np.sqrt(np.abs(v - 1.0)), v ** -1.5)
+
+
+@pytest.mark.parametrize("f", [
+    _kinked, lambda v: np.stack([_kinked(v), _kinked(v) / (1.0 + v)])],
+    ids=["one", "stack"])
+def test_pieces_sum_to_one_call_per_piece_bit_for_bit(f):
+    # the seed panels of all pieces share one call, and every piece keeps
+    # its own tolerance, budget and refinement: the result is the in-order
+    # sum over the pieces integrated one at a time ([3, 400] is seeded
+    # geometrically)
+    edges = [0.0, 1.0, 2.0, 3.0, 400.0, math.inf]
+    res = adaptive_quad(f, 0.0, math.inf, points=edges[1:-1])
+    value, error = 0.0, 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        piece = adaptive_quad(f, lo, hi)
+        value += piece.value
+        error += piece.error
+    assert np.array_equal(res.value, value)
+    assert np.array_equal(res.error, error)
+
+
+def test_pieces_that_converge_on_their_seeds_cost_one_call():
+    # 1/(1 + v^2) is smooth on every piece and on the folded tail
+    g, seen = _counted(lambda v: 1.0 / (1.0 + np.asarray(v) ** 2))
+    res = adaptive_quad(g, 0.0, math.inf, points=(0.5, 1.0, 3.0))
+    assert seen == [4 * 21]
+    assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_points_outside_the_range_are_ignored():

@@ -20,17 +20,15 @@ import numpy as np
 
 from . import __version__
 from .distributions import (Binary, Discrete, PointMass, Power,
-                            TruncatedPareto, Uniform, _spec_field,
-                            distribution_from_spec)
+                            TruncatedPareto, Uniform, _in_range,
+                            _spec_field, distribution_from_spec)
 from .functionals import SurplusReport, full_report, mechanism_profit
 from .guarantees import (DEFAULT_TOL, boundary, consumer_share,
                          feasible_beta_interval,
                          frontier, frontier_attaining_shape, guarantee_ratio,
                          holder_audit, membership, procurement_quality,
-                         procurement_quantity,
-                         verify_convex_cost_guarantee, verify_lower_bound,
-                         verify_procurement_quality,
-                         verify_procurement_quantity,
+                         quantity_guarantee, verify_convex_cost_guarantee,
+                         verify_lower_bound, verify_procurement_quality,
                          verify_quantity_guarantee)
 from .mechanisms import guarantee_mechanism
 from .quadrature import QuadratureError
@@ -100,15 +98,6 @@ def _default_battery(eta):
         PointMass(1.0),
         Discrete(values=vals, masses=masses),
     ]
-
-
-def _in_range(value, name, lo, hi):
-    """value as a float in the open interval (lo, hi), or a config error
-    that names the input; NaN and non-numbers lie in no interval."""
-    if not isinstance(value, (int, float)) or not lo < value < hi:
-        raise ConfigError(f"{name} must lie in ({lo:g}, {hi:g}), "
-                          f"got {value!r}")
-    return float(value)
 
 
 def _out_path(out_dir, name):
@@ -335,12 +324,12 @@ def cmd_verify(args):
         cost = cost_from_spec(cfg["cost"])
         battery = _battery_from_config(cfg, cost.eta_bar)
         certs = verify_convex_cost_guarantee(cost, battery, tol=tol)
-    else:  # quantity
+    else:  # quantity: separable demand read as its quality problem
         if "model" not in cfg:
             raise ConfigError("'quantity' scenario requires a 'model' spec")
-        model = quantity_model_from_spec(cfg["model"])
-        battery = _battery_from_config(cfg, 2.0)
-        certs = verify_quantity_guarantee(model, battery, tol=tol)
+        cost = quantity_model_from_spec(cfg["model"])
+        battery = _battery_from_config(cfg, cost.eta)
+        certs = verify_quantity_guarantee(cost, battery, tol=tol)
 
     return _emit_certs(args, certs)
 
@@ -407,21 +396,18 @@ def cmd_oracle(args):
 def cmd_procure(args):
     side = args.side
     if side == "quality":
-        eta = _in_range(args.eta, "--eta", 1.0, math.inf)
-        price, share = procurement_quality(eta)
+        eta = eta_c = _in_range(args.eta, "--eta", 1.0, math.inf)
         theta_grid = np.geomspace(0.1, 10.0, 100)
-        certs = verify_procurement_quality(eta, theta_grid)
-        rows = [["quality", f"{eta:.17g}", f"{price:.17g}", f"{share:.17g}"]]
-        header = ["side", "eta", "unit_price", "surplus_share"]
-    elif side == "quantity":
+        offer = "unit_price"
+    else:  # quantity: the quality problem at eta_c = eta/(eta+1)
         eta = _in_range(args.eta, "--eta", -math.inf, -1.0)
-        z, share = procurement_quantity(eta)
+        eta_c, _ = quantity_guarantee(eta)
         theta_grid = np.geomspace(1.1, 10.0, 100)
-        certs = verify_procurement_quantity(eta, theta_grid)
-        rows = [["quantity", f"{eta:.17g}", f"{z:.17g}", f"{share:.17g}"]]
-        header = ["side", "eta", "markup_factor", "surplus_share"]
-    else:
-        raise ConfigError("side must be 'quality' or 'quantity'")
+        offer = "markup_factor"
+    price, share = procurement_quality(eta_c)
+    certs = verify_procurement_quality(eta_c, theta_grid)
+    header = ["side", "eta", offer, "surplus_share"]
+    rows = [[side, f"{eta:.17g}", f"{price:.17g}", f"{share:.17g}"]]
 
     path = _out_path(args.out, f"procure_{side}.csv")
     _write_csv(path, header, rows)

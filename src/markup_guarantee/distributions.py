@@ -525,6 +525,14 @@ def _spec_field(spec, name, what):
         raise ValueError(f"{what} needs a {name!r} field") from None
 
 
+def _in_range(value, name, lo, hi):
+    """value as a float in the open interval (lo, hi), or a ValueError that
+    names the input; NaN and non-numbers lie in no interval."""
+    if not isinstance(value, (int, float)) or not lo < value < hi:
+        raise ValueError(f"{name} must lie in ({lo:g}, {hi:g}), got {value!r}")
+    return float(value)
+
+
 def distribution_from_spec(spec: dict) -> ValueDistribution:
     """Build a distribution from its JSON spec, e.g.
     {"kind": "truncated_pareto", "alpha": 2.0, "k": 100.0}."""

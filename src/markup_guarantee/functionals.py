@@ -13,9 +13,12 @@ node.  A menu without T is reported by the envelope identity,
     Pi = E[v Q(v) - c(Q(v))] - U,    U = int_0^vbar Q(v) (1 - F(v)) dv,
 and `full_report` computes U once and passes it to `mechanism_profit`.
 
-The quantity report under a uniform price p* is one stacked expectation
-of int_1^inf D dp, D(v, p*)(p* - 1) and int_{p*}^inf D dp, with the inner
-quadrature errors of the two surplus rows as two more rows.
+Separable quantity demand is the quality problem at eta_c = eta/(eta+1)
+and is reported by `full_report` on the guarantee menu there.  The quantity
+report serves non-separable demand, which has no such map: under a uniform
+price p* it is one stacked expectation of int_1^inf D dp, D(v, p*)(p* - 1)
+and int_{p*}^inf D dp, with the inner quadrature errors of the two surplus
+rows as two more rows.
 """
 
 from __future__ import annotations

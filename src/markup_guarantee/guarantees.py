@@ -19,9 +19,9 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .functionals import full_report, quantity_surplus_report
-from .mechanisms import constant_markup_mechanism
+from .mechanisms import constant_markup_mechanism, guarantee_mechanism
 from .screening import bayes_optimal_mechanism
-from .technology import IsoElasticCost
+from .technology import IsoElasticCost, _cost_elasticity
 
 __all__ = [
     "GuaranteeCertificate",
@@ -43,8 +43,6 @@ __all__ = [
     "verify_quantity_guarantee",
     "procurement_quality",
     "verify_procurement_quality",
-    "procurement_quantity",
-    "verify_procurement_quantity",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -294,36 +292,46 @@ def verify_convex_cost_guarantee(cost, distributions, tol: float = DEFAULT_TOL):
     return certs
 
 
-def quantity_guarantee(eta_bar: float) -> tuple:
-    """Seller's robust offer with demand elasticity bound eta_bar < -1 and
-    unit cost 1: uniform price p* = eta_bar/(eta_bar + 1), guaranteed profit
-    share (p*)^eta_bar."""
-    if eta_bar >= -1.0:
-        raise ValueError("demand elasticity bound must be below -1")
-    p_star = eta_bar / (eta_bar + 1.0)
-    return p_star, p_star ** eta_bar
+def quantity_guarantee(eta: float) -> tuple:
+    """Separable quantity sales at demand elasticity eta < -1 and unit cost
+    1, read as the quality problem at eta_c = eta/(eta+1): (eta_c,
+    guarantee_ratio(eta_c)).  The uniform price p* = eta_c is the guarantee
+    menu's markup 1/z, and the share is (p*)^eta."""
+    eta_c = _cost_elasticity(eta)
+    return eta_c, guarantee_ratio(eta_c)
 
 
 def verify_quantity_guarantee(model, distributions, tol: float = DEFAULT_TOL):
-    """Price at p* = eta_bar/(eta_bar+1) and certify the profit share.
+    """Sell quantity at the uniform price p* = eta_c and certify
+    Pi >= guarantee_ratio(eta_c) S.
 
-    For the separable model the ratio is exact and uniform across F; for
-    nonlinear demand the bound holds pointwise in v, so it holds in
-    aggregate.
+    Separable demand comes as its quality problem, the IsoElasticCost(eta_c)
+    `quantity_model_from_spec` reads, and is reported on the guarantee menu,
+    with the quality side's tail check and closed-form S; the ratio is exact
+    and uniform across F.  Nonlinear demand is checked on its elasticity
+    band and priced at the eta_c of its bound eta_bar; the bound holds
+    pointwise in v, so it holds in aggregate.
     """
-    eta_bar = model.eta_bar
-    p_star, bound = quantity_guarantee(eta_bar)
-    if hasattr(model, "check_band"):
+    if isinstance(model, IsoElasticCost):
+        eta_c = model.eta
+        menu = guarantee_mechanism(eta_c)
+
+        def report(F):
+            return full_report(F, menu, model)
+    else:
+        eta_c, _ = quantity_guarantee(model.eta_bar)
         model.check_band(v_grid=np.geomspace(0.5, 8.0, 7))
+
+        def report(F):
+            return quantity_surplus_report(F, model, eta_c)
+    bound = guarantee_ratio(eta_c)
     certs = []
     for F in distributions:
-        rep = quantity_surplus_report(F, model, p_star)
         certs.append(GuaranteeCertificate(
             claim_id="quantity_guarantee",
-            parameters={"eta_bar": eta_bar, "p_star": p_star,
-                        "distribution": F.to_spec()},
+            parameters={"eta_c": eta_c, "distribution": F.to_spec()},
             bound_value=bound,
-            measured_value=rep.pi_ratio,
+            measured_value=report(F).pi_ratio,
             tolerance=tol))
     return certs
 
@@ -331,12 +339,14 @@ def verify_quantity_guarantee(model, distributions, tol: float = DEFAULT_TOL):
 def procurement_quality(eta: float) -> tuple:
     """Buyer's robust offer for quality procurement: unit price 1/eta,
     guaranteed surplus share eta^{-1/(eta-1)}, the consumer share of the
-    selling side's guarantee menu."""
+    selling side's guarantee menu.  Quantity procurement at demand
+    elasticity eta_d is this offer at eta = eta_d/(eta_d+1): the markup
+    factor (eta_d+1)/eta_d and the share (eta_d/(eta_d+1))^(eta_d+1)."""
     share = consumer_share(eta)
     return 1.0 / eta, share
 
 
-# an overflow in the procurement verifiers shows as a non-finite share,
+# an overflow in the procurement verifier shows as a non-finite share,
 # which the certificate rejects
 @np.errstate(over="ignore", invalid="ignore")
 def verify_procurement_quality(eta: float, theta_grid):
@@ -354,34 +364,3 @@ def verify_procurement_quality(eta: float, theta_grid):
             measured_value=buyer_surplus / s_theta,
             tolerance=_PROCUREMENT_TOL))
     return certs
-
-
-def procurement_quantity(eta: float) -> tuple:
-    """Buyer's robust constant-markup offer for quantity procurement:
-    p(q) = z q^{1/eta} with z = (eta+1)/eta; share (eta/(eta+1))^{eta+1}."""
-    if eta >= -1.0:
-        raise ValueError("demand elasticity must be below -1")
-    z = (eta + 1.0) / eta
-    share = (eta / (eta + 1.0)) ** (eta + 1.0)
-    return z, share
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def verify_procurement_quantity(eta: float, theta_grid):
-    """Seller picks q with theta = p(q); certify the buyer's surplus share."""
-    z, share = procurement_quantity(eta)
-    certs = []
-    for theta in np.asarray(theta_grid, dtype=float):
-        q = (theta / z) ** eta
-        gross = (eta / (eta + 1.0)) * q ** ((eta + 1.0) / eta)
-        paid = z * (eta / (eta + 1.0)) * q ** ((eta + 1.0) / eta)
-        buyer_surplus = gross - paid
-        s_theta = -(theta ** (eta + 1.0)) / (eta + 1.0)
-        certs.append(GuaranteeCertificate(
-            claim_id="procurement_quantity",
-            parameters={"eta": eta, "theta": float(theta), "z": z},
-            bound_value=share,
-            measured_value=buyer_surplus / s_theta,
-            tolerance=_PROCUREMENT_TOL))
-    return certs
-

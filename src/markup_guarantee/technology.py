@@ -3,11 +3,12 @@
 Quality discrimination uses convex costs: iso-elastic, inverted in closed
 form, or polynomial with a declared elasticity bound, checked exactly at
 construction and inverted by Newton from a closed-form upper start.
-Quantity discrimination uses concave buyer utilities with linear production
-cost normalized to 1.  Each demand model states its surplus above a price,
-int_p^inf D(v, s) ds, and the error of that value, for an array of values:
-the separable model in closed form with error 0, the nonlinear model in one
-quadrature whose stack has a row per value.
+Quantity discrimination with separable demand of elasticity eta < -1 is the
+quality problem at the iso-elastic cost of elasticity eta_c = eta/(eta+1),
+which a `separable_quantity` spec reads as.  Non-separable demand has no
+such map: the nonlinear model states its surplus above a price,
+int_p^inf D(v, s) ds, and the error of that value, for an array of values
+in one quadrature whose stack has a row per value.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _spec_field
+from .distributions import _in_range, _spec_field
 from .quadrature import QuadResult, adaptive_quad
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "RootFindError",
     "IsoElasticCost",
     "PolynomialCost",
-    "SeparableQuantityUtility",
     "NonlinearDemandModel",
     "cost_from_spec",
     "quantity_model_from_spec",
@@ -48,8 +48,7 @@ class IsoElasticCost:
     eta: float
 
     def __post_init__(self):
-        if not 1.0 < self.eta < np.inf:
-            raise ValueError("iso-elastic cost needs a finite eta > 1")
+        _in_range(self.eta, "'eta'", 1.0, math.inf)
 
     def c(self, q):
         q = np.asarray(q, dtype=float)
@@ -135,10 +134,11 @@ class PolynomialCost:
                 f"polynomial cost needs degree >= 2, got degree {degree}")
         if coeffs[0] != 0.0:
             raise CostValidationError("polynomial cost must have c(0) = 0")
-        if not degree <= eta_bar < math.inf:
+        if not (isinstance(eta_bar, (int, float))
+                and degree <= eta_bar < math.inf):
             raise CostValidationError(
-                f"declared elasticity bound {eta_bar!r} must be finite and at "
-                f"least the degree {degree}, the elasticity's supremum")
+                f"'eta_bar' must be a finite number at least the degree "
+                f"{degree}, the elasticity's supremum, got {eta_bar!r}")
         self.coeffs = coeffs
         self.eta_bar = eta_bar
         self.c = np.polynomial.Polynomial(coeffs)
@@ -153,37 +153,6 @@ class PolynomialCost:
         if live.any():
             out[live] = _monotone_root(self.c_prime, v_arr[live])
         return out if np.ndim(v) else float(out[0])
-
-
-@dataclass(frozen=True)
-class SeparableQuantityUtility:
-    """h(v, q) = v (eta/(eta+1)) q^{(eta+1)/eta}, demand elasticity eta < -1.
-
-    Marginal cost is normalized to 1.
-    """
-
-    eta: float
-
-    def __post_init__(self):
-        if self.eta >= -1.0:
-            raise ValueError("demand elasticity must be below -1")
-
-    def demand(self, v, p):
-        v = np.asarray(v, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return (p / v) ** self.eta
-
-    @property
-    def eta_bar(self):
-        return self.eta
-
-    def surplus_above(self, v, p):
-        """(value, 0) of int_p^inf D(v, s) ds = -v^{-eta} p^{eta+1}/(eta+1)."""
-        v = np.asarray(v, dtype=float)
-        p = np.asarray(p, dtype=float)
-        e = self.eta
-        value = -(v ** -e) * p ** (e + 1.0) / (e + 1.0)
-        return QuadResult(value, np.zeros_like(value))
 
 
 # the prices p >= 1 (= marginal cost) on which check_band probes the band
@@ -243,6 +212,20 @@ class NonlinearDemandModel:
         return QuadResult(*(np.reshape(x, v.shape) for x in rows))
 
 
+def _cost_elasticity(eta):
+    """eta_c = eta/(eta+1) > 1 for separable demand of elasticity eta < -1.
+
+    A buyer's v h(q), h(q) = (eta/(eta+1)) q^((eta+1)/eta), for a quantity q
+    at unit cost 1 is a buyer of quality x = h(q) at the cost h^-1(x), which
+    is iso-elastic with elasticity eta_c (Mussa and Rosen, 1978).  A uniform
+    price p is the constant-markup menu of IsoElasticCost(eta_c) at z = 1/p:
+    a value buys the quantity eta_c c(Q(v)), and its surplus, profit and
+    rent are eta_c times the quality side's, so the shares agree.
+    """
+    eta = _in_range(eta, "'eta'", -math.inf, -1.0)
+    return eta / (eta + 1.0)
+
+
 def cost_from_spec(spec: dict):
     kind = _spec_field(spec, "kind", "cost spec")
     if kind == "iso_elastic":
@@ -255,8 +238,10 @@ def cost_from_spec(spec: dict):
 
 
 def quantity_model_from_spec(spec: dict):
+    """A `separable_quantity` spec of demand elasticity eta, read as its
+    quality problem: IsoElasticCost(eta/(eta+1))."""
     kind = _spec_field(spec, "kind", "quantity model spec")
     if kind == "separable_quantity":
-        return SeparableQuantityUtility(
-            eta=_spec_field(spec, "eta", "separable_quantity spec"))
+        eta = _spec_field(spec, "eta", "separable_quantity spec")
+        return IsoElasticCost(eta=_cost_elasticity(eta))
     raise ValueError(f"unknown quantity model kind {kind!r}")

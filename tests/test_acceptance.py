@@ -298,17 +298,35 @@ def test_criterion_09_convex_cost_guarantee():
 
 
 def test_criterion_10_quantity_discrimination():
-    model = mg.SeparableQuantityUtility(eta=-2.0)
-    p_star, _ = mg.quantity_guarantee(-2.0)
+    # separable demand D(v, p) = (p/v)^eta at eta = -2 is the quality
+    # problem at eta_c = 2, sold on its guarantee menu; the oracle is the
+    # quantity side's own closed forms per value at the uniform price
+    # p* = eta_c and unit cost 1: S = -v^-eta/(eta+1), Pi = D(v, p*)(p* - 1)
+    # and U = -v^-eta p*^(eta+1)/(eta+1)
+    eta = -2.0
+    p_star, _ = mg.quantity_guarantee(eta)
     assert p_star == 2.0
+    cost = mg.quantity_model_from_spec({"kind": "separable_quantity",
+                                        "eta": eta})
+    menu = mg.guarantee_mechanism(cost.eta)
+
+    def quantity_side(v):
+        v = np.asarray(v, dtype=float)
+        return np.stack([-v ** -eta / (eta + 1.0),
+                         (p_star / v) ** eta * (p_star - 1.0),
+                         -v ** -eta * p_star ** (eta + 1.0) / (eta + 1.0)])
+
     worst = 0.0
     battery = [mg.Uniform(0.5, 2.0), mg.Binary(1.0, 2.0, 0.3),
                mg.PointMass(1.0), mg.TruncatedPareto(alpha=2.5, k=100.0),
                mg.Discrete(values=tuple(1.0 + 0.4 * i for i in range(10)),
                            masses=(0.1,) * 10)]
     for F in battery:
-        rep = mg.quantity_surplus_report(F, model, p_star)
-        worst = max(worst, abs(rep.pi_ratio - 0.25))
+        (S, Pi, U), _ = mg.expectation(F, quantity_side)
+        rep = mg.full_report(F, menu, cost)
+        worst = max(worst, abs(Pi / S - 0.25), abs(rep.pi_ratio - Pi / S),
+                    abs(rep.u_ratio - U / S))
+    sep_ok = all(c.passed for c in mg.verify_quantity_guarantee(cost, battery))
 
     # nonlinear demand whose elasticity drifts through [-3, -2]
     D = lambda v, p: 2.0 * np.asarray(v, dtype=float) / (
@@ -317,18 +335,34 @@ def test_criterion_10_quantity_discrimination():
     certs = mg.verify_quantity_guarantee(nd, [mg.Uniform(0.5, 2.0),
                                               mg.PointMass(1.0)])
     nl_ok = all(c.passed for c in certs)
-    ok = worst <= 1e-6 and nl_ok
+    ok = worst <= 1e-6 and sep_ok and nl_ok
     assert _verdict("criterion 10: quantity discrimination", ok,
-                    f"max dev {worst:.2e}, nonlinear pass {nl_ok}")
+                    f"max dev {worst:.2e}, separable pass {sep_ok}, "
+                    f"nonlinear pass {nl_ok}")
 
 
 def test_criterion_11_procurement():
     theta = np.geomspace(0.1, 10.0, 100)
     certs_q = mg.verify_procurement_quality(2.0, theta)
+    # quantity procurement at eta = -2 is quality procurement at eta_c = 2;
+    # the oracle is the seller's best response to the buyer's marginal price
+    # p(q) = z q^(1/eta), z = (eta+1)/eta: with unit cost theta it sells
+    # q = (theta/z)^eta, the buyer keeps (1 - z) h(q) of
+    # h(q) = (eta/(eta+1)) q^((eta+1)/eta), and S = -theta^(eta+1)/(eta+1)
+    eta = -2.0
+    eta_c, _ = mg.quantity_guarantee(eta)
+    z, share = mg.procurement_quality(eta_c)
     theta2 = np.geomspace(1.05, 10.0, 100)
-    certs_n = mg.verify_procurement_quantity(-2.0, theta2)
+    certs_n = mg.verify_procurement_quality(eta_c, theta2)
+    q = (theta2 / z) ** eta
+    h = (eta / (eta + 1.0)) * q ** ((eta + 1.0) / eta)
+    quantity_share = (1.0 - z) * h / (-theta2 ** (eta + 1.0) / (eta + 1.0))
     worst = max(max(abs(c.slack) for c in certs_q),
-                max(abs(c.slack) for c in certs_n))
+                max(abs(c.slack) for c in certs_n),
+                max(abs(c.measured_value - s)
+                    for c, s in zip(certs_n, quantity_share)),
+                abs(z - (eta + 1.0) / eta),
+                abs(share - (eta / (eta + 1.0)) ** (eta + 1.0)))
     ok = worst <= 1e-9
     assert _verdict("criterion 11: procurement shares", ok,
                     f"max |slack| {worst:.2e}")

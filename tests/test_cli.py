@@ -117,6 +117,21 @@ class TestVerify:
                         {"kind": "point_mass", "v0": 1.0}]})
         assert run(["verify", "--config", cfg]) == 0
 
+    def test_quantity_scenario_checks_the_tail(self, tmp_path, capsys):
+        # at eta = -3, S = E[v^3]/2 diverges on Pareto(2.5): the quantity
+        # scenario is the quality problem at eta_c = 3/2, and its tail check
+        # needs a shape above 3
+        cfg = write_cfg(tmp_path, "v.json", {
+            "version": 1, "scenario": "quantity",
+            "model": {"kind": "separable_quantity", "eta": -3.0},
+            "battery": [{"kind": "pareto", "alpha": 2.5}]})
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: surplus is infinite: the law "
+                              "fails the tail condition at eta_bar = 1.5")
+        assert not out.exists()
+
 
 class TestOracle:
     def test_two_type_instance(self, tmp_path, capsys):
@@ -173,9 +188,19 @@ class TestProcure:
         assert float(price) == 0.5 and float(share) == 0.5
 
     def test_quantity_side(self, tmp_path):
-        code = run(["procure", "--side", "quantity", "--eta", "-2",
-                    "--out", str(tmp_path)])
-        assert code == 0
+        # the offer is the markup factor (eta+1)/eta and the share
+        # (eta/(eta+1))^(eta+1)
+        for eta, factor, share in (("-2", 0.5, 0.5),
+                                   ("-3", 2.0 / 3.0, 4.0 / 9.0)):
+            out = tmp_path / eta
+            code = run(["procure", "--side", "quantity", "--eta", eta,
+                        "--out", str(out)])
+            assert code == 0
+            header, row = (out / "procure_quantity.csv").read_text().splitlines()
+            assert header == "side,eta,markup_factor,surplus_share"
+            side, eta_out, factor_out, share_out = row.split(",")
+            assert (side, float(eta_out)) == ("quantity", float(eta))
+            assert (float(factor_out), float(share_out)) == (factor, share)
 
     def test_bad_eta(self):
         assert run(["procure", "--side", "quality", "--eta", "0.5"]) == 2
@@ -437,11 +462,28 @@ def test_non_finite_eta_flag_is_config_error(tmp_path, capsys, argv, name):
     (["verify"], {"scenario": "lower_bound", "eta": 2.0, "tol": [1e-6]},
      "'tol'"),
     (["sweep"], {"eta": [2.0]}, "'eta'"),
+    (["verify"], {"scenario": "convex_cost",
+                  "cost": {"kind": "iso_elastic", "eta": "2"}}, "'eta'"),
+    (["verify"], {"scenario": "convex_cost",
+                  "cost": {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5],
+                           "eta_bar": "4"}}, "'eta_bar'"),
+    (["verify"], {"scenario": "quantity",
+                  "model": {"kind": "separable_quantity", "eta": "-2"}},
+     "'eta'"),
+    (["verify"], {"scenario": "quantity",
+                  "model": {"kind": "separable_quantity", "eta": math.nan}},
+     "'eta'"),
+    (["verify"], {"scenario": "quantity",
+                  "model": {"kind": "separable_quantity", "eta": -math.inf}},
+     "'eta'"),
 ], ids=["verify-tol-nan", "verify-tol-negative", "holder-eta-inf",
-        "sweep-eta-inf", "oracle-eta-nan", "verify-tol-list", "sweep-eta-list"])
+        "sweep-eta-inf", "oracle-eta-nan", "verify-tol-list", "sweep-eta-list",
+        "iso-elastic-eta-string", "poly-cost-eta-bar-string",
+        "quantity-eta-string", "quantity-eta-nan", "quantity-eta-minus-inf"])
 def test_bad_config_number_is_config_error(tmp_path, capsys, argv, cfg, name):
     # a NaN or negative tolerance would fail every certificate of a
-    # passing battery, and a list is no number
+    # passing battery, a list or a string is no number, and a spec's
+    # elasticity is range-checked as the config's own eta is
     path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
     out = tmp_path / "out"
     assert run([*argv, "--config", path, "--out", str(out)]) == 2

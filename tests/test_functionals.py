@@ -17,8 +17,7 @@ from markup_guarantee.guarantees import consumer_share, guarantee_ratio
 from markup_guarantee.mechanisms import DirectMechanism, guarantee_mechanism
 from markup_guarantee.screening import bayes_optimal_mechanism
 from markup_guarantee.technology import (IsoElasticCost,
-                                         NonlinearDemandModel, PolynomialCost,
-                                         SeparableQuantityUtility)
+                                         NonlinearDemandModel, PolynomialCost)
 
 
 class TestExpectation:
@@ -294,20 +293,26 @@ class TestStatedTransfers:
 
 
 class TestQuantityReport:
+    # separable demand D = (p/v)^-2, integrated as a general demand
+    SEPARABLE = NonlinearDemandModel(
+        eta_bar=-2.0,
+        D=lambda v, p: (np.asarray(v, dtype=float)
+                        / np.asarray(p, dtype=float)) ** 2)
+
     def test_separable_quarter_share(self):
-        model = SeparableQuantityUtility(eta=-2.0)
+        model = self.SEPARABLE
         for F in (Uniform(0.5, 2.0), PointMass(1.0), Binary(1.0, 2.0, 0.3)):
             rep = quantity_surplus_report(F, model, p_star=2.0)
             assert rep.pi_ratio == pytest.approx(0.25, abs=1e-9)
 
     def test_zero_surplus_rejected(self):
-        model = SeparableQuantityUtility(eta=-2.0)
+        model = self.SEPARABLE
         with pytest.raises(ValueError, match="efficient surplus"):
             quantity_surplus_report(PointMass(0.0), model, p_star=2.0)
 
     def test_pointmass_hand_values(self):
         # v=1, eta=-2: S = 1, D(1,2) = 1/4, Pi = 1/4; U = int_2^inf p^-2 = 1/2
-        model = SeparableQuantityUtility(eta=-2.0)
+        model = self.SEPARABLE
         rep = quantity_surplus_report(PointMass(1.0), model, p_star=2.0)
         assert rep.S == pytest.approx(1.0, abs=1e-9)
         assert rep.Pi == pytest.approx(0.25, abs=1e-9)

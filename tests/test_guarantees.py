@@ -14,13 +14,11 @@ from markup_guarantee.guarantees import (GuaranteeCertificate, boundary,
                                          guarantee_ratio, holder_audit,
                                          membership, pareto_profit_ratio,
                                          procurement_quality,
-                                         procurement_quantity,
                                          quantity_guarantee,
                                          surplus_lower_bound,
                                          verify_convex_cost_guarantee,
                                          verify_lower_bound,
-                                         verify_procurement_quality,
-                                         verify_procurement_quantity)
+                                         verify_procurement_quality)
 from markup_guarantee.functionals import full_report
 from markup_guarantee.screening import bayes_optimal_mechanism
 from markup_guarantee.technology import IsoElasticCost, PolynomialCost
@@ -271,10 +269,15 @@ class TestConvexCost:
 class TestQuantityAndProcurement:
     def test_quantity_guarantee_closed_form(self):
         assert quantity_guarantee(-2.0) == pytest.approx((2.0, 0.25))
-        with pytest.raises(ValueError):
-            quantity_guarantee(-0.5)
-        with pytest.raises(ValueError):
-            quantity_guarantee(-1.0)
+        # the uniform price p* = eta/(eta+1) is eta_c, and the share (p*)^eta
+        # is the quality guarantee there
+        for eta in (-1.01, -1.5, -3.0, -10.0, -300.0):
+            p_star = eta / (eta + 1.0)
+            assert quantity_guarantee(eta) == pytest.approx(
+                (p_star, p_star ** eta), rel=1e-13)
+        for eta in (-0.5, -1.0, math.nan, -math.inf, "-2"):
+            with pytest.raises(ValueError):
+                quantity_guarantee(eta)
 
     def test_procurement_quality_closed_form(self):
         price, share = procurement_quality(2.0)
@@ -284,16 +287,22 @@ class TestQuantityAndProcurement:
         assert share3 == pytest.approx((1.0 / 3.0) ** 0.5)
 
     def test_procurement_quantity_closed_form(self):
-        z, share = procurement_quantity(-2.0)
-        assert z == pytest.approx(0.5)
-        assert share == pytest.approx(0.5)
+        # quantity procurement is quality procurement at eta_c: the offer is
+        # the markup factor (eta+1)/eta, the share (eta/(eta+1))^(eta+1)
+        for eta in (-1.01, -1.5, -2.0, -3.0, -10.0, -300.0):
+            eta_c, _ = quantity_guarantee(eta)
+            z, share = procurement_quality(eta_c)
+            assert z == pytest.approx((eta + 1.0) / eta, rel=1e-15)
+            assert share == pytest.approx(
+                (eta / (eta + 1.0)) ** (eta + 1.0), rel=1e-13)
 
     def test_pointwise_verifiers(self):
         theta = np.geomspace(0.2, 5.0, 20)
         assert all(c.passed for c in verify_procurement_quality(2.0, theta))
         theta_q = np.geomspace(1.1, 5.0, 20)
+        eta_c, _ = quantity_guarantee(-2.0)
         assert all(c.passed
-                   for c in verify_procurement_quantity(-2.0, theta_q))
+                   for c in verify_procurement_quality(eta_c, theta_q))
 
 
 class TestParetoOutcomes:

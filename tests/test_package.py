@@ -33,8 +33,9 @@ def test_root_exports_every_submodule_all():
 # public names that need no caller in the package, its demos or its
 # benchmark, each with the reason it stays
 _UNCALLED = {
-    # the one non-separable demand model verify_quantity_guarantee accepts;
-    # it backs the general-demand quantity guarantee
+    # the non-separable demand verify_quantity_guarantee accepts beside
+    # separable demand read as quality at eta_c = eta/(eta+1); no such map
+    # exists for it, so it backs the general-demand quantity guarantee
     "NonlinearDemandModel",
 }
 

@@ -8,9 +8,7 @@ from markup_guarantee.guarantees import convex_cost_guarantee
 from markup_guarantee.mechanisms import constant_markup_mechanism
 from markup_guarantee.technology import (CostValidationError, IsoElasticCost,
                                          NonlinearDemandModel, PolynomialCost,
-                                         RootFindError,
-                                         SeparableQuantityUtility,
-                                         cost_from_spec,
+                                         RootFindError, cost_from_spec,
                                          quantity_model_from_spec)
 
 
@@ -176,26 +174,40 @@ class TestMonotoneRoot:
 
 
 class TestQuantitySide:
+    # separable demand D(v, p) = (p/v)^eta is the quality problem at
+    # eta_c = eta/(eta+1): a uniform price p is the constant-markup menu of
+    # IsoElasticCost(eta_c) at z = 1/p, under which a value buys the
+    # quantity eta_c c(Q(v))
+
+    @staticmethod
+    def _quantity(eta, v, p):
+        cost = quantity_model_from_spec({"kind": "separable_quantity",
+                                         "eta": eta})
+        q = constant_markup_mechanism(cost, 1.0 / p).Q(v)
+        return float(cost.eta * cost.c(q))
+
     def test_separable_demand_closed_form(self):
-        m = SeparableQuantityUtility(eta=-2.0)
         # D(v, p) = (p/v)^eta = (v/p)^2
-        assert float(m.demand(2.0, 4.0)) == pytest.approx(0.25)
+        assert self._quantity(-2.0, 2.0, 4.0) == pytest.approx(0.25,
+                                                               rel=1e-15)
         # d ln D / d ln p, from a 0.1% step in p
-        step = np.log(m.demand(1.0, 3.003) / m.demand(1.0, 3.0))
+        step = np.log(self._quantity(-2.0, 1.0, 3.003)
+                      / self._quantity(-2.0, 1.0, 3.0))
         assert float(step / np.log(1.001)) == pytest.approx(-2.0, rel=1e-9)
 
     def test_separable_marginal_utility_inverts_demand(self):
-        m = SeparableQuantityUtility(eta=-3.0)
-        v, p = 1.5, 2.5
-        q = float(m.demand(v, p))
+        eta, v, p = -3.0, 1.5, 2.5
+        q = self._quantity(eta, v, p)
         # h_q(v, q) = v q^(1/eta), the marginal utility, is the price
-        assert v * q ** (1.0 / m.eta) == pytest.approx(p, rel=1e-12)
+        assert v * q ** (1.0 / eta) == pytest.approx(p, rel=1e-12)
 
     def test_efficient_surplus_per_value(self):
-        m = SeparableQuantityUtility(eta=-2.0)
-        # -v^2/(eta+1) with eta = -2 gives v^2, in closed form
-        value, error = m.surplus_above(3.0, 1.0)
-        assert (float(value), float(error)) == (pytest.approx(9.0), 0.0)
+        # -v^2/(eta+1) with eta = -2 gives v^2 = 9, eta_c = 2 times the
+        # quality surplus v x - c(x) at the efficient quality x = v
+        cost = quantity_model_from_spec({"kind": "separable_quantity",
+                                         "eta": -2.0})
+        x = cost.efficient_quality(3.0)
+        assert float(cost.eta * (3.0 * x - cost.c(x))) == 9.0
 
     def test_nonlinear_band_check_passes_for_drifting_elasticity(self):
         D = lambda v, p: 2.0 * np.asarray(v, dtype=float) / (
@@ -219,7 +231,8 @@ def test_cost_specs_round_trip():
                            "coeffs": [0.0, 0.0, 0.5, 0.0, 0.25],
                            "eta_bar": 4.0})
     assert poly.eta_bar == 4.0
+    # separable demand at eta = -2 reads as quality at eta_c = 2
     sep = quantity_model_from_spec({"kind": "separable_quantity", "eta": -2.0})
-    assert sep.eta == -2.0
+    assert sep == IsoElasticCost(eta=2.0)
     with pytest.raises(ValueError):
         cost_from_spec({"kind": "nope"})

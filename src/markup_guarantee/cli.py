@@ -1,6 +1,6 @@
 """Command-line front end: configs in, tables / certificates / plots out.
 
-Subcommands: guarantee, frontier, boundary, verify, oracle, procure, sweep.
+Subcommands: guarantee, boundary, verify, oracle, procure, sweep.
 Exit codes: 0 all pass, 1 certificate failure, 2 config error, 3 numerical
 failure.  CSV is the canonical artifact; SVG plots are a self-contained
 convenience (version string embedded, no timestamps, byte-deterministic).
@@ -22,10 +22,11 @@ from . import __version__
 from .distributions import (Binary, Discrete, PointMass, Power,
                             TruncatedPareto, Uniform, _in_range,
                             _spec_field, distribution_from_spec)
-from .functionals import SurplusReport, full_report, mechanism_profit
-from .guarantees import (DEFAULT_TOL, boundary, consumer_share,
-                         feasible_beta_interval,
-                         frontier, frontier_attaining_shape, guarantee_ratio,
+from .functionals import (InfiniteSurplusError, SurplusReport, full_report,
+                          mechanism_profit)
+from .guarantees import (DEFAULT_TOL, FrontierPoint, boundary,
+                         consumer_share, feasible_beta_interval, frontier,
+                         frontier_attaining_shape, guarantee_ratio,
                          holder_audit, membership, procurement_quality,
                          quantity_guarantee, verify_convex_cost_guarantee,
                          verify_lower_bound, verify_procurement_quality,
@@ -81,9 +82,16 @@ def _battery_from_config(cfg, eta):
         return _default_battery(eta)
     if not isinstance(specs, list):
         raise ConfigError("'battery' must be a list of distribution specs")
+    if not specs:
+        raise ConfigError("the distribution battery is empty; usage: give "
+                          "the config's 'battery' list at least one spec")
+    return [_law(s) for s in specs]
+
+
+def _law(spec):
     try:
-        return [distribution_from_spec(s) for s in specs]
-    except (ValueError, TypeError, KeyError) as exc:
+        return distribution_from_spec(spec)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad distribution spec: {exc}")
 
 
@@ -111,8 +119,9 @@ def _out_path(out_dir, name):
 # SVG writer (self-contained, deterministic)
 # ---------------------------------------------------------------------------
 
-def _svg_plot(curves, xlabel, ylabel, title, points=()):
-    """Render polyline curves and scatter points into a standalone SVG.
+def _svg_plot(curves, points, xlabel, ylabel, title):
+    """Render polyline curves and labelled scatter points, spanning a
+    rectangle of positive width and height, into a standalone SVG.
 
     curves: list of (xs, ys, color); points: list of (x, y, color, label).
     """
@@ -121,10 +130,6 @@ def _svg_plot(curves, xlabel, ylabel, title, points=()):
     all_y = [y for _, ys, _ in curves for y in ys] + [p[1] for p in points]
     x0, x1 = min(all_x), max(all_x)
     y0, y1 = min(all_y), max(all_y)
-    if x1 - x0 < 1e-12:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 - y0 < 1e-12:
-        y0, y1 = y0 - 0.5, y1 + 0.5
 
     def sx(x):
         return pad + (x - x0) / (x1 - x0) * (W - 2 * pad)
@@ -161,9 +166,8 @@ def _svg_plot(curves, xlabel, ylabel, title, points=()):
     for x, y, color, label in points:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" '
                      f'fill="{color}"/>')
-        if label:
-            parts.append(f'<text x="{sx(x) + 6:.2f}" y="{sy(y) - 6:.2f}" '
-                         f'font-size="10">{label}</text>')
+        parts.append(f'<text x="{sx(x) + 6:.2f}" y="{sy(y) - 6:.2f}" '
+                     f'font-size="10">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -183,10 +187,6 @@ def cmd_guarantee(args):
     eta = _in_range(args.eta, "--eta", 1.0, math.inf)
     cfg = _load_config(args.config, {"battery"}) if args.config else None
     battery = _battery_from_config(cfg, eta)
-    if not battery:
-        print("usage: the distribution battery is empty; provide at least "
-              "one spec in the config's 'battery' list", file=sys.stderr)
-        return EXIT_CONFIG
     M = guarantee_mechanism(eta)
     cost = IsoElasticCost(eta=eta)
     pi_target = guarantee_ratio(eta)
@@ -212,81 +212,50 @@ def cmd_guarantee(args):
     return EXIT_OK if all_pass else EXIT_CERT_FAIL
 
 
-def cmd_frontier(args):
-    eta = _in_range(args.eta, "--eta", 1.0, math.inf)
-    n = args.grid
-    if n < 1:
-        raise ConfigError("--grid must be at least 1")
-    lo, hi = feasible_beta_interval(eta)
-    betas = [lo] if n == 1 else list(np.linspace(lo, hi, n))
-    rows = []
-    for b in betas:
-        u = frontier(b, eta)
-        a = frontier_attaining_shape(b, eta)
-        rows.append([f"{a:.17g}", f"{b:.17g}", f"{u:.17g}", "upper"])
-    path = _out_path(args.out, "frontier.csv")
-    _write_csv(path, ["alpha", "beta", "u_over_s", "branch"], rows)
-    print(f"wrote {path}")
-    svg = _svg_plot(
-        [(betas, [frontier(b, eta) for b in betas], "steelblue")],
-        xlabel="profit share of efficient surplus",
-        ylabel="consumer share of efficient surplus",
-        title=f"surplus frontier, cost elasticity {eta:g}")
-    svg_path = _out_path(args.out, "frontier.svg")
-    with open(svg_path, "w") as fh:
-        fh.write(svg)
-    print(f"wrote {svg_path}")
-    return EXIT_OK
-
-
 def cmd_boundary(args):
+    eta = _in_range(args.eta, "--eta", 1.0, math.inf)
     n = args.grid
     if n < 2:
         raise ConfigError("--grid must be at least 2")
-    eta = 2.0
-    r = eta / (eta - 1.0)
-    upper = [boundary(float(a), eta) for a in np.geomspace(r, 100.0 * r, n)]
-    lower = [boundary(float(a), eta) for a in np.linspace(1.0, r, n)]
+    # the Hoelder frontier, attained by Pareto laws, evenly in Pi/S; the
+    # truncated-Pareto limits for alpha in [1, r]; the zero-surplus segment
+    upper = [FrontierPoint(b, frontier(b, eta),
+                           frontier_attaining_shape(b, eta), "upper")
+             for b in np.linspace(*feasible_beta_interval(eta), n)]
+    lower = [boundary(float(a), eta)
+             for a in np.linspace(1.0, eta / (eta - 1.0), n)]
+    zero_cs = [FrontierPoint(y, 0, math.inf, "zero_cs")
+               for y in np.linspace(1.0 / eta, 1.0, n)]
     rows = [[f"{pt.alpha:.17g}", f"{pt.beta:.17g}", f"{pt.u_over_s:.17g}",
-             pt.branch] for pt in upper + lower]
-    for y in np.linspace(1.0 / eta, 1.0, n):
-        rows.append(["inf", f"{y:.17g}", "0", "zero_cs"])
+             pt.branch] for pt in upper + lower + zero_cs]
     path = _out_path(args.out, "boundary.csv")
     _write_csv(path, ["alpha", "beta", "u_over_s", "branch"], rows)
     print(f"wrote {path}")
 
     # overlay points: Bayes-optimal outcomes for simple families
-    overlays = [
-        ("uniform", Uniform(0.0, 1.0)),
-        ("binary", Binary(1.0, 2.0, 0.3)),
-        ("power", Power(alpha=2.0)),
-    ]
     cost = IsoElasticCost(eta=eta)
-    pts = []
-    bad = []
-    for name, F in overlays:
-        M = bayes_optimal_mechanism(F, cost)
-        rep = full_report(F, M, cost)
+    pts, bad = [], []
+    for name, F in (("uniform", Uniform(0.0, 1.0)),
+                    ("binary", Binary(1.0, 2.0, 0.3)),
+                    ("power", Power(alpha=2.0))):
+        rep = full_report(F, bayes_optimal_mechanism(F, cost), cost)
         verdict = membership(rep.u_ratio, rep.pi_ratio, eta, tol=1e-6)
         pts.append((rep.u_ratio, rep.pi_ratio, "firebrick", name))
         print(f"overlay {name}: (U/S, Pi/S) = ({rep.u_ratio:.6f}, "
               f"{rep.pi_ratio:.6f}) -> {verdict}")
         if verdict == "exterior":
             bad.append(name)
-    curves = [
-        ([pt.u_over_s for pt in upper], [pt.beta for pt in upper],
-         "steelblue"),
-        ([pt.u_over_s for pt in lower], [pt.beta for pt in lower],
-         "darkorange"),
-        ([0.0, 0.0], [1.0 / eta, 1.0], "seagreen"),
-    ]
+    curves = [([pt.u_over_s for pt in branch], [pt.beta for pt in branch],
+               color) for branch, color in ((upper, "steelblue"),
+                                            (lower, "darkorange"),
+                                            (zero_cs, "seagreen"))]
     svg_path = _out_path(args.out, "boundary.svg")
     with open(svg_path, "w") as fh:
-        fh.write(_svg_plot(curves,
+        fh.write(_svg_plot(curves, pts,
                            xlabel="consumer share of efficient surplus",
                            ylabel="profit share of efficient surplus",
-                           title="feasible surplus splits, quadratic cost",
-                           points=pts))
+                           title=f"feasible surplus splits, cost "
+                                 f"elasticity {eta:g}"))
     print(f"wrote {svg_path}")
     if bad:
         print(f"exterior overlay points: {bad}", file=sys.stderr)
@@ -294,42 +263,51 @@ def cmd_boundary(args):
     return EXIT_OK
 
 
-_VERIFY_SCENARIOS = ("lower_bound", "holder", "convex_cost", "quantity")
+# the field each scenario reads besides 'scenario', 'battery' and 'tol'
+_VERIFY_SCENARIOS = {"lower_bound": "eta", "holder": "eta",
+                     "convex_cost": "cost", "quantity": "model"}
 
 
 def cmd_verify(args):
     if not args.config:
         raise ConfigError("'verify' requires --config")
-    cfg = _load_config(args.config,
-                       {"scenario", "eta", "battery", "cost", "model",
-                        "tol"})
+    cfg = _load_config(args.config, {"scenario", "battery", "tol",
+                                     *_VERIFY_SCENARIOS.values()})
     scenario = cfg.get("scenario")
-    if scenario not in _VERIFY_SCENARIOS:
+    names = tuple(_VERIFY_SCENARIOS)
+    if scenario not in names:
         raise ConfigError(
-            f"scenario must be one of {_VERIFY_SCENARIOS}, got {scenario!r}")
+            f"scenario must be one of {names}, got {scenario!r}")
+    field = _VERIFY_SCENARIOS[scenario]
+    unread = set(cfg) & set(_VERIFY_SCENARIOS.values()) - {field}
+    if unread:
+        raise ConfigError(
+            f"the {scenario!r} scenario reads no {sorted(unread)} field")
+    spec = _spec_field(cfg, field, f"{scenario!r} scenario")
     tol = cfg.get("tol", DEFAULT_TOL)
     if not (isinstance(tol, (int, float)) and 0.0 <= tol < math.inf):
         raise ConfigError(f"'tol' must lie in [0, inf), got {tol!r}")
 
-    if scenario in ("lower_bound", "holder"):
-        eta = _in_range(_spec_field(cfg, "eta", f"{scenario!r} scenario"),
-                        "'eta'", 1.0, math.inf)
+    if field == "eta":
+        eta = _in_range(spec, "'eta'", 1.0, math.inf)
         battery = _battery_from_config(cfg, eta)
         certs = (verify_lower_bound(eta, battery, tol=tol)
                  if scenario == "lower_bound"
                  else [holder_audit(F, eta, tol=tol) for F in battery])
-    elif scenario == "convex_cost":
-        if "cost" not in cfg:
-            raise ConfigError("'convex_cost' scenario requires a 'cost' spec")
-        cost = cost_from_spec(cfg["cost"])
+    elif field == "cost":
+        cost = cost_from_spec(spec)
         battery = _battery_from_config(cfg, cost.eta_bar)
         certs = verify_convex_cost_guarantee(cost, battery, tol=tol)
     else:  # quantity: separable demand read as its quality problem
-        if "model" not in cfg:
-            raise ConfigError("'quantity' scenario requires a 'model' spec")
-        cost = quantity_model_from_spec(cfg["model"])
+        cost = quantity_model_from_spec(spec)
         battery = _battery_from_config(cfg, cost.eta)
-        certs = verify_quantity_guarantee(cost, battery, tol=tol)
+        try:
+            certs = verify_quantity_guarantee(cost, battery, tol=tol)
+        except InfiniteSurplusError:  # checked at eta_c: name eta instead
+            raise InfiniteSurplusError(
+                f"surplus is infinite: the law fails the tail condition at "
+                f"eta = {spec['eta']!r} (eta_c = {cost.eta!r}); truncate "
+                "the tail explicitly") from None
 
     return _emit_certs(args, certs)
 
@@ -348,6 +326,15 @@ def _emit_certs(args, certs):
     return EXIT_OK
 
 
+def _numbers(cfg, name, what):
+    """cfg[name], a list of numbers that `what` needs, as floats."""
+    value = _spec_field(cfg, name, what)
+    if not (isinstance(value, list)
+            and all(isinstance(x, (int, float)) for x in value)):
+        raise ConfigError(f"'{name}' must be a list of numbers, got {value!r}")
+    return tuple(float(x) for x in value)
+
+
 def cmd_oracle(args):
     if not args.config:
         raise ConfigError("'oracle' requires --config")
@@ -358,16 +345,24 @@ def cmd_oracle(args):
                                         math.inf))
     mode = cfg.get("mode", "exhaustive")
 
-    # one atomic law feeds both the dynamic program and the Bayes menu
-    if "distribution" in cfg:
-        F = discretize(distribution_from_spec(cfg["distribution"]),
-                       int(cfg.get("n_types", 10)))
+    # one atomic law feeds both the dynamic program and the Bayes menu: a
+    # 'distribution' binned into 'n_types' atoms, or 'values' and 'masses'
+    binned = "distribution" in cfg
+    what = f"'oracle' config with{'' if binned else 'out'} a 'distribution'"
+    unread = set(cfg) & ({"values", "masses"} if binned else {"n_types"})
+    if unread:
+        raise ConfigError(f"an {what} reads no {sorted(unread)} field")
+    if binned:
+        n_types = cfg.get("n_types", 10)
+        if type(n_types) is not int or n_types < 1:
+            raise ConfigError(
+                f"'n_types' must be a positive integer, got {n_types!r}")
+        F = discretize(_law(cfg["distribution"]), n_types)
     else:
-        what = "'oracle' config without a 'distribution'"
-        F = Discrete(values=tuple(_spec_field(cfg, "values", what)),
-                     masses=tuple(_spec_field(cfg, "masses", what)))
+        F = Discrete(values=_numbers(cfg, "values", what),
+                     masses=_numbers(cfg, "masses", what))
     if "quality_grid" in cfg:
-        grid = tuple(float(q) for q in cfg["quality_grid"])
+        grid = _numbers(cfg, "quality_grid", what)
     else:
         q_top = cost.efficient_quality(F.values[-1])
         grid = tuple(np.linspace(0.0, 1.2 * q_top, 15))
@@ -394,18 +389,20 @@ def cmd_oracle(args):
 
 
 def cmd_procure(args):
-    side = args.side
-    if side == "quality":
-        eta = eta_c = _in_range(args.eta, "--eta", 1.0, math.inf)
-        theta_grid = np.geomspace(0.1, 10.0, 100)
-        offer = "unit_price"
-    else:  # quantity: the quality problem at eta_c = eta/(eta+1)
-        eta = _in_range(args.eta, "--eta", -math.inf, -1.0)
+    # the elasticity picks the side: quality above 1, and below -1
+    # quantity, which is the quality problem at eta_c = eta/(eta+1)
+    eta = args.eta
+    if eta is not None and 1.0 < eta < math.inf:
+        side, eta_c, offer, theta_lo = "quality", eta, "unit_price", 0.1
+    elif eta is not None and -math.inf < eta < -1.0:
+        side, offer, theta_lo = "quantity", "markup_factor", 1.1
         eta_c, _ = quantity_guarantee(eta)
-        theta_grid = np.geomspace(1.1, 10.0, 100)
-        offer = "markup_factor"
+    else:
+        raise ConfigError(
+            f"--eta must lie in (-inf, -1) or (1, inf), got {eta!r}")
     price, share = procurement_quality(eta_c)
-    certs = verify_procurement_quality(eta_c, theta_grid)
+    certs = verify_procurement_quality(eta_c,
+                                       np.geomspace(theta_lo, 10.0, 100))
     header = ["side", "eta", offer, "surplus_share"]
     rows = [[side, f"{eta:.17g}", f"{price:.17g}", f"{share:.17g}"]]
 
@@ -422,9 +419,6 @@ def cmd_sweep(args):
     cfg = _load_config(args.config, {"eta", "battery", "mechanism"})
     eta = _in_range(cfg.get("eta", 2.0), "'eta'", 1.0, math.inf)
     battery = _battery_from_config(cfg, eta)
-    if not battery:
-        print("usage: empty battery in sweep config", file=sys.stderr)
-        return EXIT_CONFIG
     mech_kind = cfg.get("mechanism", "bayes_optimal")
     if mech_kind not in ("bayes_optimal", "guarantee"):
         raise ConfigError("mechanism must be 'bayes_optimal' or 'guarantee'")
@@ -497,16 +491,12 @@ def build_parser():
         return sp
 
     command("guarantee", cmd_guarantee, "--eta", "--config", "--out")
-    sp = command("frontier", cmd_frontier, "--eta", "--out")
-    sp.add_argument("--grid", type=int, default=50,
-                    help="number of frontier points")
-    sp = command("boundary", cmd_boundary, "--out")
+    sp = command("boundary", cmd_boundary, "--eta", "--out")
     sp.add_argument("--grid", type=int, default=50,
                     help="points per boundary branch")
     command("verify", cmd_verify, "--config", "--out")
     command("oracle", cmd_oracle, "--config", "--out")
-    sp = command("procure", cmd_procure, "--eta", "--out")
-    sp.add_argument("--side", choices=("quality", "quantity"), required=True)
+    command("procure", cmd_procure, "--eta", "--out")
     sp = command("sweep", cmd_sweep, "--config", "--out")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return p

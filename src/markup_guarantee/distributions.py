@@ -502,18 +502,20 @@ class Mixture(ValueDistribution):
                 "weights": list(self.weights)}
 
 
+def _mixture(components, weights):
+    return Mixture(tuple(map(distribution_from_spec, components)), weights)
+
+
+# each kind's constructor, and the spec fields it takes in order
 _KINDS = {
-    "pareto": lambda d: Pareto(alpha=d["alpha"]),
-    "truncated_pareto": lambda d: TruncatedPareto(alpha=d["alpha"], k=d["k"]),
-    "uniform": lambda d: Uniform(a=d["a"], b=d["b"]),
-    "binary": lambda d: Binary(v_lo=d["v_lo"], v_hi=d["v_hi"], p_hi=d["p_hi"]),
-    "power": lambda d: Power(alpha=d["alpha"]),
-    "discrete": lambda d: Discrete(values=tuple(d["values"]),
-                                   masses=tuple(d["masses"])),
-    "point_mass": lambda d: PointMass(v0=d["v0"]),
-    "mixture": lambda d: Mixture(
-        components=tuple(distribution_from_spec(c) for c in d["components"]),
-        weights=tuple(d["weights"])),
+    "pareto": (Pareto, ("alpha",)),
+    "truncated_pareto": (TruncatedPareto, ("alpha", "k")),
+    "uniform": (Uniform, ("a", "b")),
+    "binary": (Binary, ("v_lo", "v_hi", "p_hi")),
+    "power": (Power, ("alpha",)),
+    "discrete": (Discrete, ("values", "masses")),
+    "point_mass": (PointMass, ("v0",)),
+    "mixture": (_mixture, ("components", "weights")),
 }
 
 
@@ -533,15 +535,20 @@ def _in_range(value, name, lo, hi):
     return float(value)
 
 
+def _from_spec(spec, kinds, family):
+    """Build a spec from `kinds`, a table of kind -> (constructor, fields),
+    or raise a ValueError if the kind is unknown or reads other fields."""
+    kind = _spec_field(spec, "kind", f"{family} spec")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {family} kind {kind!r}")
+    make, fields = kinds[kind]
+    extra = set(spec) - {"kind", *fields}
+    if extra:
+        raise ValueError(f"unknown fields in {kind} spec: {sorted(extra)}")
+    return make(*(_spec_field(spec, f, f"{kind} spec") for f in fields))
+
+
 def distribution_from_spec(spec: dict) -> ValueDistribution:
     """Build a distribution from its JSON spec, e.g.
     {"kind": "truncated_pareto", "alpha": 2.0, "k": 100.0}."""
-    kind = _spec_field(spec, "kind", "distribution spec")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    known = {"kind", "alpha", "k", "a", "b", "v_lo", "v_hi", "p_hi",
-             "values", "masses", "v0", "components", "weights"}
-    extra = set(spec) - known
-    if extra:
-        raise ValueError(f"unknown fields in distribution spec: {sorted(extra)}")
-    return _KINDS[kind](spec)
+    return _from_spec(spec, _KINDS, "distribution")

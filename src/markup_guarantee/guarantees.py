@@ -197,10 +197,12 @@ def membership(x: float, y: float, eta: float, tol: float = 1e-9) -> str:
     Returns 'interior', 'boundary', or 'exterior'.  The set is bounded by the
     Hoelder frontier x <= frontier(y), the lower branch of `boundary` (shape
     alpha = 1/(1 - x^(eta-1)) at U/S = x), the segment x = 0, y in [1/eta, 1],
-    and the guarantee point's U/S, x <= consumer_share(eta).
+    and the guarantee point's U/S, x <= consumer_share(eta).  A ratio within
+    tol of [0, 1] is read as on that edge.
     """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    if not (-tol <= x <= 1.0 + tol and -tol <= y <= 1.0 + tol):
         raise ValueError("ratios must lie in [0,1]")
+    x, y = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
     x_tip = consumer_share(eta)
     y_lo = boundary(1.0 / (1.0 - min(x, x_tip) ** (eta - 1.0)), eta).beta
     x_hi = frontier(max(y, guarantee_ratio(eta)), eta)

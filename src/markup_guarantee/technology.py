@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _in_range, _spec_field
+from .distributions import _from_spec, _in_range
 from .quadrature import QuadResult, adaptive_quad
 
 __all__ = [
@@ -226,22 +226,22 @@ def _cost_elasticity(eta):
     return eta / (eta + 1.0)
 
 
+# each kind's constructor, and the spec fields it takes in order
+_COST_KINDS = {
+    "iso_elastic": (IsoElasticCost, ("eta",)),
+    "poly_cost": (PolynomialCost, ("coeffs", "eta_bar")),
+}
+_QUANTITY_KINDS = {
+    "separable_quantity": (
+        lambda eta: IsoElasticCost(eta=_cost_elasticity(eta)), ("eta",)),
+}
+
+
 def cost_from_spec(spec: dict):
-    kind = _spec_field(spec, "kind", "cost spec")
-    if kind == "iso_elastic":
-        return IsoElasticCost(eta=_spec_field(spec, "eta", "iso_elastic spec"))
-    if kind == "poly_cost":
-        what = "poly_cost spec"
-        return PolynomialCost(coeffs=_spec_field(spec, "coeffs", what),
-                              eta_bar=_spec_field(spec, "eta_bar", what))
-    raise ValueError(f"unknown cost kind {kind!r}")
+    return _from_spec(spec, _COST_KINDS, "cost")
 
 
 def quantity_model_from_spec(spec: dict):
     """A `separable_quantity` spec of demand elasticity eta, read as its
     quality problem: IsoElasticCost(eta/(eta+1))."""
-    kind = _spec_field(spec, "kind", "quantity model spec")
-    if kind == "separable_quantity":
-        eta = _spec_field(spec, "eta", "separable_quantity spec")
-        return IsoElasticCost(eta=_cost_elasticity(eta))
-    raise ValueError(f"unknown quantity model kind {kind!r}")
+    return _from_spec(spec, _QUANTITY_KINDS, "quantity model")

@@ -46,37 +46,42 @@ class TestGuarantee:
         assert run(["guarantee", "--eta", "2", "--config", cfg]) == 2
 
 
+def _rows(path, branch):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]
+            if line.endswith("," + branch)]
+
+
 class TestFrontier:
-    def test_single_point_csv_and_svg(self, tmp_path):
-        code = run(["frontier", "--eta", "2", "--grid", "1",
-                    "--out", str(tmp_path)])
-        assert code == 0
-        rows = (tmp_path / "frontier.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # header + one point
-        svg = (tmp_path / "frontier.svg").read_text()
-        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    """`boundary`'s upper branch: the Hoelder frontier, with beta evenly
+    over [guarantee_ratio(eta), 1]."""
 
     def test_endpoints(self, tmp_path):
-        run(["frontier", "--eta", "2", "--grid", "11", "--out", str(tmp_path)])
-        rows = (tmp_path / "frontier.csv").read_text().strip().splitlines()[1:]
-        first = rows[0].split(",")
-        last = rows[-1].split(",")
+        assert run(["boundary", "--eta", "2", "--grid", "11",
+                    "--out", str(tmp_path)]) == 0
+        # the lower branch's last point, alpha = r, is the junction, which
+        # boundary() files under the upper branch
+        upper = _rows(tmp_path / "boundary.csv", "upper")[:11]
+        first, last = upper[0], upper[-1]
         assert float(first[1]) == pytest.approx(0.25)
         assert float(first[2]) == pytest.approx(0.5)
         assert float(last[1]) == pytest.approx(1.0)
         assert float(last[2]) == pytest.approx(0.0, abs=1e-12)
+        svg = (tmp_path / "boundary.svg").read_text()
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "cost elasticity 2<" in svg
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run(["frontier", "--eta", "3", "--grid", "7", "--out", str(a)])
-        run(["frontier", "--eta", "3", "--grid", "7", "--out", str(b)])
-        assert (a / "frontier.csv").read_bytes() == (b / "frontier.csv").read_bytes()
-        assert (a / "frontier.svg").read_bytes() == (b / "frontier.svg").read_bytes()
+        run(["boundary", "--eta", "3", "--grid", "7", "--out", str(a)])
+        run(["boundary", "--eta", "3", "--grid", "7", "--out", str(b)])
+        assert (a / "boundary.csv").read_bytes() == (b / "boundary.csv").read_bytes()
+        assert (a / "boundary.svg").read_bytes() == (b / "boundary.svg").read_bytes()
 
 
 class TestBoundary:
     def test_overlays_never_exterior(self, tmp_path, capsys):
-        code = run(["boundary", "--grid", "10", "--out", str(tmp_path)])
+        code = run(["boundary", "--eta", "2", "--grid", "10",
+                    "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         verdicts = [line for line in out.splitlines()
@@ -86,10 +91,29 @@ class TestBoundary:
         body = (tmp_path / "boundary.csv").read_text()
         assert "upper" in body and "lower" in body and "zero_cs" in body
 
+    @pytest.mark.parametrize("eta", ["1.01", "1.5", "5"])
+    def test_every_eta_draws_its_own_set(self, tmp_path, capsys, eta):
+        # at 1.01 the binary law's Bayes menu sells to both types at Pi/S
+        # one rounding above 1, which is the set's top edge
+        assert run(["boundary", "--eta", eta, "--grid", "5",
+                    "--out", str(tmp_path)]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("overlay")]
+        assert len(verdicts) == 3 and all(
+            line.endswith(("interior", "boundary")) for line in verdicts)
+        e = float(eta)
+        lower = _rows(tmp_path / "boundary.csv", "lower")
+        assert float(lower[0][1]) == pytest.approx(1.0 / e)
+        zero_cs = _rows(tmp_path / "boundary.csv", "zero_cs")
+        assert [float(r[1]) for r in zero_cs] == pytest.approx(
+            list(np.linspace(1.0 / e, 1.0, 5)))
+        assert f"cost elasticity {e:g}<" in (
+            tmp_path / "boundary.svg").read_text()
 
     @pytest.mark.parametrize("grid", ["1", "0", "-5"])
     def test_grid_below_two_is_config_error(self, tmp_path, capsys, grid):
-        assert run(["boundary", "--grid", grid, "--out", str(tmp_path)]) == 2
+        assert run(["boundary", "--eta", "2", "--grid", grid,
+                    "--out", str(tmp_path)]) == 2
         assert "--grid must be at least 2" in capsys.readouterr().err
         assert not (tmp_path / "boundary.csv").exists()
 
@@ -128,8 +152,20 @@ class TestVerify:
         out = tmp_path / "out"
         assert run(["verify", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
+        # the message names the demand elasticity the config gives
         assert err.startswith("config error: surplus is infinite: the law "
-                              "fails the tail condition at eta_bar = 1.5")
+                              "fails the tail condition at eta = -3.0 "
+                              "(eta_c = 1.5)")
+        assert not out.exists()
+
+    def test_empty_battery_is_config_error(self, tmp_path, capsys):
+        # an empty battery certifies nothing, as in guarantee and sweep
+        cfg = write_cfg(tmp_path, "v.json", {
+            "version": 1, "scenario": "lower_bound", "eta": 2.0,
+            "battery": []})
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "battery is empty" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -180,7 +216,7 @@ class TestOracle:
 
 class TestProcure:
     def test_quality_table(self, tmp_path, capsys):
-        code = run(["procure", "--side", "quality", "--eta", "2",
+        code = run(["procure", "--eta", "2",
                     "--out", str(tmp_path)])
         assert code == 0
         row = (tmp_path / "procure_quality.csv").read_text().splitlines()[1]
@@ -193,7 +229,7 @@ class TestProcure:
         for eta, factor, share in (("-2", 0.5, 0.5),
                                    ("-3", 2.0 / 3.0, 4.0 / 9.0)):
             out = tmp_path / eta
-            code = run(["procure", "--side", "quantity", "--eta", eta,
+            code = run(["procure", "--eta", eta,
                         "--out", str(out)])
             assert code == 0
             header, row = (out / "procure_quantity.csv").read_text().splitlines()
@@ -203,11 +239,18 @@ class TestProcure:
             assert (float(factor_out), float(share_out)) == (factor, share)
 
     def test_bad_eta(self):
-        assert run(["procure", "--side", "quality", "--eta", "0.5"]) == 2
+        # no side sells at an elasticity in [-1, 1]
+        for eta in ("0.5", "-1", "1", "-0.5"):
+            assert run(["procure", f"--eta={eta}"]) == 2
 
     def test_eta_bar_option_is_gone(self, capsys):
-        assert run(["procure", "--side", "quantity", "--eta-bar", "-2"]) == 2
+        assert run(["procure", "--eta-bar", "-2"]) == 2
         assert "--eta-bar" in capsys.readouterr().err
+
+    def test_side_option_is_gone(self, capsys):
+        # the sign of --eta picks the side
+        assert run(["procure", "--side", "quality", "--eta", "2"]) == 2
+        assert "unrecognized arguments: --side" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -421,8 +464,10 @@ def test_law_past_float64_is_config_error(tmp_path, capsys, spec, message):
     # verify reads eta and tol from its config alone
     (["verify"], {"scenario": "lower_bound"}, "eta"),
     (["verify"], {"scenario": "holder"}, "eta"),
+    (["oracle"], {"distribution": {"kind": "pareto"}}, "alpha"),
 ], ids=["oracle-values", "oracle-masses", "poly-cost-coeffs", "cost-kind",
-        "quantity-eta", "lower-bound-eta", "holder-eta"])
+        "quantity-eta", "lower-bound-eta", "holder-eta",
+        "oracle-distribution-alpha"])
 def test_missing_spec_field_is_config_error(tmp_path, capsys, argv, cfg,
                                             field):
     path = write_cfg(tmp_path, "c.json", {"version": 1, **cfg})
@@ -432,13 +477,17 @@ def test_missing_spec_field_is_config_error(tmp_path, capsys, argv, cfg,
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["frontier", "--eta", "inf"], "--eta"),
-    (["frontier", "--eta", "nan"], "--eta"),
+    (["boundary", "--eta", "inf"], "--eta"),
+    (["boundary", "--eta", "nan"], "--eta"),
     (["guarantee", "--eta", "inf"], "--eta"),
-    (["procure", "--side", "quality", "--eta", "nan"], "--eta"),
-    (["procure", "--side", "quantity", "--eta=-inf"], "--eta"),
-], ids=["frontier-inf", "frontier-nan", "guarantee-inf", "procure-quality-nan",
-        "procure-quantity-minus-inf"])
+    (["procure", "--eta", "nan"], "--eta"),
+    (["procure", "--eta=-inf"], "--eta"),
+    (["boundary"], "--eta"),
+    (["procure"], "--eta"),
+    (["procure", "--eta", "inf"], "--eta"),
+], ids=["boundary-inf", "boundary-nan", "guarantee-inf", "procure-quality-nan",
+        "procure-quantity-minus-inf", "boundary-missing", "procure-missing",
+        "procure-inf"])
 def test_non_finite_eta_flag_is_config_error(tmp_path, capsys, argv, name):
     # NaN fails no `eta <= 1` comparison, so the range check must reject it
     # itself
@@ -476,10 +525,19 @@ def test_non_finite_eta_flag_is_config_error(tmp_path, capsys, argv, name):
     (["verify"], {"scenario": "quantity",
                   "model": {"kind": "separable_quantity", "eta": -math.inf}},
      "'eta'"),
+    (["oracle"], {"distribution": {"kind": "uniform", "a": 0.0, "b": 1.0},
+                  "n_types": 1.7}, "'n_types'"),
+    (["oracle"], {"distribution": {"kind": "uniform", "a": 0.0, "b": 1.0},
+                  "n_types": True}, "'n_types'"),
+    (["oracle"], {"values": 5, "masses": [1.0]}, "'values'"),
+    (["oracle"], {"values": [1.0, 2.0], "masses": [0.5, 0.5],
+                  "quality_grid": 5}, "'quality_grid'"),
 ], ids=["verify-tol-nan", "verify-tol-negative", "holder-eta-inf",
         "sweep-eta-inf", "oracle-eta-nan", "verify-tol-list", "sweep-eta-list",
         "iso-elastic-eta-string", "poly-cost-eta-bar-string",
-        "quantity-eta-string", "quantity-eta-nan", "quantity-eta-minus-inf"])
+        "quantity-eta-string", "quantity-eta-nan", "quantity-eta-minus-inf",
+        "oracle-n-types-fraction", "oracle-n-types-bool",
+        "oracle-values-number", "oracle-quality-grid-number"])
 def test_bad_config_number_is_config_error(tmp_path, capsys, argv, cfg, name):
     # a NaN or negative tolerance would fail every certificate of a
     # passing battery, a list or a string is no number, and a spec's
@@ -499,17 +557,52 @@ def test_oracle_pass_gap_is_not_a_config_field(tmp_path, capsys):
     assert "unknown config fields: ['tol']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["eta_bar", "zzz"])
-def test_verify_rejects_a_field_no_scenario_reads(tmp_path, capsys, field):
+_POLY_COST = {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5], "eta_bar": 2.0}
+_SEPARABLE = {"kind": "separable_quantity", "eta": -2.0}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"scenario": "lower_bound", "eta": 2.0, "eta_bar": "anything"},
+     "unknown config fields: ['eta_bar']"),
+    ({"scenario": "lower_bound", "eta": 2.0, "zzz": "anything"},
+     "unknown config fields: ['zzz']"),
+    # a field another scenario reads
+    ({"scenario": "convex_cost", "cost": _POLY_COST, "eta": 2.0},
+     "the 'convex_cost' scenario reads no ['eta'] field"),
+    ({"scenario": "lower_bound", "eta": 2.0, "cost": _POLY_COST},
+     "the 'lower_bound' scenario reads no ['cost'] field"),
+    ({"scenario": "lower_bound", "eta": 2.0, "model": _SEPARABLE},
+     "the 'lower_bound' scenario reads no ['model'] field"),
+], ids=["eta_bar", "zzz", "convex-cost-eta", "lower-bound-cost",
+        "lower-bound-model"])
+def test_verify_rejects_a_field_no_scenario_reads(tmp_path, capsys, cfg,
+                                                  message):
     # the convex-cost bound is the cost spec's own eta_bar, and the
     # quantity bound comes from the model spec
-    path = write_cfg(tmp_path, "v.json", {
-        "version": 1, "scenario": "lower_bound", "eta": 2.0,
-        field: "anything"})
+    path = write_cfg(tmp_path, "v.json", {"version": 1, **cfg})
     out = tmp_path / "out"
     assert run(["verify", "--config", path, "--out", str(out)]) == 2
-    assert (f"unknown config fields: [{field!r}]"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"distribution": _UNIFORM, "values": [1.0], "masses": [1.0]},
+     "an 'oracle' config with a 'distribution' reads no ['masses', 'values']"),
+    ({"distribution": _UNIFORM, "masses": [1.0]},
+     "an 'oracle' config with a 'distribution' reads no ['masses']"),
+    ({"values": [1.0, 2.0], "masses": [0.5, 0.5], "n_types": 4},
+     "an 'oracle' config without a 'distribution' reads no ['n_types']"),
+], ids=["values-and-masses", "masses", "n-types-without-distribution"])
+def test_oracle_rejects_a_field_its_law_does_not_read(tmp_path, capsys, cfg,
+                                                      message):
+    path = write_cfg(tmp_path, "o.json", {"version": 1, **cfg})
+    out = tmp_path / "out"
+    assert run(["oracle", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message} field\n"
     assert not out.exists()
 
 
@@ -525,8 +618,8 @@ def test_commands_in_a_row_write_what_each_writes_alone(tmp_path):
         "version": 1, "eta": 2.0,
         "battery": [{"kind": "uniform", "a": 0.0, "b": 1.0}]})
     commands = [["sweep", "--config", sweep, "--format", "json"],
-                ["procure", "--side", "quality", "--eta", "2"],
-                ["frontier", "--eta", "3", "--grid", "4"]]
+                ["procure", "--eta", "2"],
+                ["boundary", "--eta", "3", "--grid", "4"]]
     alone = []
     for argv in commands:
         build_parser.cache_clear()
@@ -545,7 +638,7 @@ def test_commands_in_a_row_write_what_each_writes_alone(tmp_path):
 def test_non_finite_certificate_is_one_numerical_failure(tmp_path, capsys):
     # at eta = 1.001, q = (p/theta)^(1/(eta-1)) overflows at theta = 0.1 and
     # the measured share is NaN, which neither passes nor fails
-    assert run(["procure", "--side", "quality", "--eta", "1.001",
+    assert run(["procure", "--eta", "1.001",
                 "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: procurement_quality")
@@ -558,15 +651,13 @@ def test_non_finite_certificate_is_one_numerical_failure(tmp_path, capsys):
 # the flags each subcommand reads, and so accepts
 _FLAGS = {
     "guarantee": {"--eta", "--config", "--out"},
-    "frontier": {"--eta", "--out", "--grid"},
-    "boundary": {"--out", "--grid"},
+    "boundary": {"--eta", "--out", "--grid"},
     "verify": {"--config", "--out"},
     "oracle": {"--config", "--out"},
-    "procure": {"--eta", "--out", "--side"},
+    "procure": {"--eta", "--out"},
     "sweep": {"--config", "--out", "--format"},
 }
 _SHARED = {"--eta", "--config", "--out", "--tol", "--grid", "--format"}
-_REQUIRED = {"procure": ["--side", "quality"]}
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
@@ -580,8 +671,7 @@ def test_help_lists_exactly_the_flags_read(capsys, command):
 @pytest.mark.parametrize("command, flag", sorted(
     (c, f) for c, flags in _FLAGS.items() for f in _SHARED - flags))
 def test_flag_a_subcommand_ignores_is_rejected(capsys, command, flag):
-    argv = [command, *_REQUIRED.get(command, []), flag, "1"]
-    assert run(argv) == 2
+    assert run([command, flag, "1"]) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and flag in err
 

@@ -118,6 +118,12 @@ def test_spec_rejects_unknown():
         distribution_from_spec({"kind": "lognormal", "mu": 0})
     with pytest.raises(ValueError):
         distribution_from_spec({"alpha": 2.0})
+    # each kind reads its own fields only: another kind's field is no
+    # field of this one
+    with pytest.raises(ValueError, match=r"unknown fields in pareto spec: \['k'\]"):
+        distribution_from_spec({"kind": "pareto", "alpha": 3.0, "k": 9.0})
+    with pytest.raises(ValueError, match="pareto spec needs a 'alpha' field"):
+        distribution_from_spec({"kind": "pareto"})
 
 
 # Binary and PointMass are Discrete laws named by their parameters

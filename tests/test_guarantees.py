@@ -152,6 +152,24 @@ class TestEta2Boundary:
             assert pt.u_over_s + 2.0 * pt.beta == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("x, y, verdict", [
+    # Pi/S of a menu that sells to every type, one rounding above 1
+    (0.0, 1.000000000000003, "boundary"),
+    (-1e-12, 0.995, "boundary"),
+    (0.0, 1.0 + 1e-6, "boundary"),
+    (0.0, 1.0 + 2e-6, None),
+    (-2e-6, 0.995, None),
+    (0.25, math.nan, None),
+], ids=["top-rounding", "left-rounding", "top-at-tol", "top-past-tol",
+        "left-past-tol", "nan"])
+def test_membership_reads_rounding_as_the_edge(x, y, verdict):
+    if verdict is None:
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+            membership(x, y, 1.01, tol=1e-6)
+    else:
+        assert membership(x, y, 1.01, tol=1e-6) == verdict
+
+
 @pytest.mark.parametrize("eta", [1.5, 3.0, 5.0])
 class TestBoundaryEveryEta:
     def test_branches_meet_at_the_guarantee_point(self, eta):

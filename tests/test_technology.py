@@ -236,3 +236,18 @@ def test_cost_specs_round_trip():
     assert sep == IsoElasticCost(eta=2.0)
     with pytest.raises(ValueError):
         cost_from_spec({"kind": "nope"})
+
+
+@pytest.mark.parametrize("read, spec, field", [
+    (cost_from_spec, {"kind": "poly_cost", "coeffs": [0.0, 0.0, 0.5],
+                      "eta_bar": 2.0, "zzz": 1}, "zzz"),
+    (cost_from_spec, {"kind": "iso_elastic", "eta": 2.0, "eta_bar": 2.0},
+     "eta_bar"),
+    (quantity_model_from_spec, {"kind": "separable_quantity", "eta": -2.0,
+                                "eta_bar": -2.0}, "eta_bar"),
+], ids=["poly-cost-zzz", "iso-elastic-eta-bar", "separable-eta-bar"])
+def test_cost_specs_reject_fields_their_kind_does_not_read(read, spec, field):
+    with pytest.raises(ValueError,
+                       match=rf"unknown fields in {spec['kind']} spec: "
+                             rf"\['{field}'\]"):
+        read(spec)
